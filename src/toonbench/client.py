@@ -127,6 +127,9 @@ def _parse_response(payload: dict) -> ChatResponse:
     except (KeyError, IndexError, TypeError) as e:
         raise ApiError(200, f"malformed completion payload: {e}")
     finish = choice.get("finish_reason", "stop")
+    if not isinstance(content, str):
+        # refusals, tool calls and truncations can carry no text at all
+        raise ApiError(200, f"completion has no text content (finish_reason={finish!r})")
     usage = payload.get("usage")
     if isinstance(usage, dict) and "prompt_tokens" in usage and "completion_tokens" in usage:
         return ChatResponse(content, int(usage["prompt_tokens"]),

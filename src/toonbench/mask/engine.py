@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -117,15 +118,18 @@ class _MaskCache:
         return result
 
 
-_caches: dict = {}  # id(vocab) -> per-mode _MaskCache
+# vocab -> mode -> _MaskCache.  Held weakly, so a cache dies with its
+# vocabulary and a later vocabulary can never pick up its masks.
+_caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _cache_for(vocab: Vocabulary, mode: str) -> _MaskCache:
-    key = (id(vocab), mode)
-    c = _caches.get(key)
+    by_mode = _caches.get(vocab)
+    if by_mode is None:
+        by_mode = _caches[vocab] = {}
+    c = by_mode.get(mode)
     if c is None:
-        c = _MaskCache()
-        _caches[key] = c
+        c = by_mode[mode] = _MaskCache()
     return c
 
 

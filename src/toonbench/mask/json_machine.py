@@ -17,56 +17,26 @@ _HEX = frozenset(b"0123456789abcdefABCDEF")
 
 _EMPTY = frozenset()
 
-# Number DFA shared with the value terminator logic.
+# Numeral DFA of RFC 8259 as a table: state -> byte -> state.  "" is the
+# start, m(minus) z(zero,ACC) i(int,ACC) d(dot) f(frac,ACC) e s x(exp,ACC);
+# any byte without an entry ends the number.
+_DIGITS = b"0123456789"
+_NUM = {st: {b: nxt for bs, nxt in row for b in bs} for st, row in {
+    "": ((b"-", "m"), (b"0", "z"), (b"123456789", "i")),
+    "m": ((b"0", "z"), (b"123456789", "i")),
+    "z": ((b".", "d"), (b"eE", "e")),
+    "i": ((_DIGITS, "i"), (b".", "d"), (b"eE", "e")),
+    "d": ((_DIGITS, "f"),),
+    "f": ((_DIGITS, "f"), (b"eE", "e")),
+    "e": ((b"+-", "s"), (_DIGITS, "x")),
+    "s": ((_DIGITS, "x"),),
+    "x": ((_DIGITS, "x"),),
+}.items()}
 _NUM_ACC = frozenset("zifx")
 
 
-def _num_start(c: str):
-    if c == "-":
-        return "m"
-    if c == "0":
-        return "z"
-    if c.isdigit():
-        return "i"
-    return None
-
-
-def _num_step(st: str, c: str):
-    if st == "m":
-        if c == "0":
-            return "z"
-        return "i" if c.isdigit() else None
-    if st == "z":
-        if c == ".":
-            return "d"
-        if c in "eE":
-            return "e"
-        return None
-    if st == "i":
-        if c.isdigit():
-            return "i"
-        if c == ".":
-            return "d"
-        if c in "eE":
-            return "e"
-        return None
-    if st == "d":
-        return "f" if c.isdigit() else None
-    if st == "f":
-        if c.isdigit():
-            return "f"
-        if c in "eE":
-            return "e"
-        return None
-    if st == "e":
-        if c in "+-":
-            return "s"
-        return "x" if c.isdigit() else None
-    if st == "s":
-        return "x" if c.isdigit() else None
-    if st == "x":
-        return "x" if c.isdigit() else None
-    return None
+def _num_step(st: str, b: int):
+    return _NUM[st].get(b)
 
 
 def initial():
@@ -186,11 +156,8 @@ def step(state, b: int):
             return (stack, ("lit", "false", 1))
         if c == "n":
             return (stack, ("lit", "null", 1))
-        if c is not None:
-            st = _num_start(c)
-            if st is not None:
-                return (stack, ("num", st))
-        return None
+        st = _num_step("", b)
+        return None if st is None else (stack, ("num", st))
 
     if tag == "s":
         esc, uleft = micro[1], micro[2]
@@ -222,10 +189,9 @@ def step(state, b: int):
 
     if tag == "num":
         st = micro[1]
-        if c is not None:
-            nxt = _num_step(st, c)
-            if nxt is not None:
-                return (stack, ("num", nxt))
+        nxt = _num_step(st, b)
+        if nxt is not None:
+            return (stack, ("num", nxt))
         if st in _NUM_ACC:
             # number ends; re-dispatch the byte in post-value position
             s2, m2 = _after_value(stack)

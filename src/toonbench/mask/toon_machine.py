@@ -9,6 +9,20 @@ string accepted here parses.
 With a schema the machine additionally pins key names and order (schema
 declaration order), array layouts, and scalar lexeme shapes, so accepted
 documents also validate.
+
+``stack`` holds one frame per open block, ``(tag, col, ...)``:
+
+- ``("obj", col, keys)``: unconstrained object, the keys seen so far;
+- ``("sobj", col, fields)``: schema object, the ``(name, type)`` fields still
+  to come;
+- ``("larr", col, left)`` / ``("slarr", col, left, elem)``: list array with
+  ``left`` items still owed, unconstrained or of schema type ``elem``;
+- ``("tarr", col, left, cols)`` / ``("starr", col, left, cols)``: tabular
+  array with ``left`` rows still owed; ``cols`` holds one schema type per
+  column, or ``None`` for each column of an unconstrained table.
+
+``line`` is the micro-state within the current line; its first element is a
+tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.
 """
 
 from __future__ import annotations
@@ -25,24 +39,12 @@ _EMPTY = frozenset()
 SP = 0x20
 NL = 0x0A
 
-
-def _printable(b: int) -> bool:
-    return 0x20 <= b <= 0x7E
-
-
-_KEY_START = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_DIGITS = b"0123456789"
+_KEY_START = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" + _DIGITS + b"_")
 _KEY_CHARS = _KEY_START | frozenset(b".-")
-
-
-def _key_start(b: int) -> bool:
-    return b in _KEY_START
-
-
-def _key_char(b: int) -> bool:
-    return b in _KEY_CHARS
-
-
-_ESC_SET = frozenset(b'"\\ntr/')
+_HEX = frozenset(_DIGITS + b"abcdefABCDEF")
+# Escapes after a backslash, and the character each stands for in a key.
+_UNESCAPE = {0x22: '"', 0x5C: "\\", 0x2F: "/", 0x6E: "\n", 0x74: "\t", 0x72: "\r"}
 
 
 def _scalar_schema(s) -> bool:
@@ -56,70 +58,28 @@ def _tabular_schema(s) -> bool:
 
 # Literal-prefix tracking for bare strings under a StrType constraint: the
 # finished lexeme must not read back as a number/bool/null.
-_LITERALS = ("true", "false", "null")
+_LITERALS = frozenset(("true", "false", "null"))
+_LIT_PREFIXES = frozenset(w[:i] for w in _LITERALS for i in range(1, len(w) + 1))
 
-# Numeral DFA: m(minus) i(int,ACC) d(dot) f(frac,ACC) e es x(exp,ACC) X(broken)
+# Numeral DFA of toon._NUM_RE as a table: state -> byte -> state.  "" is the
+# start, m(minus) i(int,ACC) d(dot) f(frac,ACC) e es x(exp,ACC); any byte
+# without an entry leads to the dead state X.
+_NUM = {st: {b: nxt for bs, nxt in row for b in bs} for st, row in {
+    "": ((b"-", "m"), (_DIGITS, "i")),
+    "m": ((_DIGITS, "i"),),
+    "i": ((_DIGITS, "i"), (b".", "d"), (b"eE", "e")),
+    "d": ((_DIGITS, "f"),),
+    "f": ((_DIGITS, "f"), (b"eE", "e")),
+    "e": ((b"+-", "es"), (_DIGITS, "x")),
+    "es": ((_DIGITS, "x"),),
+    "x": ((_DIGITS, "x"),),
+    "X": (),
+}.items()}
 _NUM_ACC = frozenset("ifx")
 
 
-def _num_step(st: str, c: str) -> str:
-    if st == "X":
-        return "X"
-    if st == "":  # first char
-        if c == "-":
-            return "m"
-        if c.isdigit():
-            return "i"
-        return "X"
-    if st == "m":
-        return "i" if c.isdigit() else "X"
-    if st == "i":
-        if c.isdigit():
-            return "i"
-        if c == ".":
-            return "d"
-        if c in "eE":
-            return "e"
-        return "X"
-    if st == "d":
-        return "f" if c.isdigit() else "X"
-    if st == "f":
-        if c.isdigit():
-            return "f"
-        if c in "eE":
-            return "e"
-        return "X"
-    if st == "e":
-        if c in "+-":
-            return "es"
-        return "x" if c.isdigit() else "X"
-    if st == "es":
-        return "x" if c.isdigit() else "X"
-    if st == "x":
-        return "x" if c.isdigit() else "X"
-    return "X"
-
-
-def _lit_step(lp, c: str):
-    """lp is (index, pos) into _LITERALS or None once broken."""
-    if lp is None:
-        return None
-    li, pos = lp
-    word = _LITERALS[li]
-    if pos < len(word) and word[pos] == c:
-        return (li, pos + 1)
-    return None
-
-
-def _lit_start(c: str):
-    for li, word in enumerate(_LITERALS):
-        if word[0] == c:
-            return (li, 1)
-    return None
-
-
-def _lit_done(lp) -> bool:
-    return lp is not None and lp[1] == len(_LITERALS[lp[0]])
+def _num_step(st: str, b: int) -> str:
+    return _NUM[st].get(b, "X")
 
 
 def _schema_frame_depth(s) -> int:
@@ -136,6 +96,17 @@ def _schema_extra(s) -> int:
     return 0
 
 
+# Line states without fields, and continuations built once.
+_IND0 = ("ind", 0)
+_VAL0 = ("val0",)
+_ITEM0 = ("item0",)
+_DASH = ("dash",)
+_SKEY0 = ("skey", 0)
+_KEYEND = ("keyend",)  # after an object key: ':' or '['
+_IQE = ("iqe",)  # after a list item's quoted first token
+_VALUE = ("tvs", None, None)  # unconstrained value after "key: "
+
+
 def initial(schema=None):
     if schema is None:
         stack = (("obj", 0, _EMPTY),)
@@ -145,60 +116,34 @@ def initial(schema=None):
         if _schema_frame_depth(schema) > MAX_DEPTH:
             raise ValueError(f"schema nesting exceeds the depth bound of {MAX_DEPTH}")
         stack = (("sobj", 0, schema.fields),)
-    return (False, stack, ("ind", 0))
-
-
-def _frame_rem(frame):
-    tag = frame[0]
-    if tag in ("larr", "tarr"):
-        return frame[2]
-    if tag in ("slarr", "starr"):
-        return frame[2]
-    return 0
+    return (False, stack, _IND0)
 
 
 def _poppable(frame) -> bool:
-    tag = frame[0]
-    if tag == "obj":
-        return True
-    if tag == "sobj":
-        return len(frame[2]) == 0
-    return _frame_rem(frame) == 0
-
-
-def _content_capable(frame) -> bool:
-    """Can this frame still accept a content line at its column?"""
-    tag = frame[0]
-    if tag == "obj":
-        return True
-    if tag == "sobj":
-        return len(frame[2]) > 0
-    return _frame_rem(frame) > 0
+    """No schema field, item or row is still owed; an unconstrained object
+    never owes one."""
+    return frame[0] == "obj" or not frame[2]
 
 
 def _max_content_col(stack) -> int:
     """Deepest column at which a content line is still legal: the column of
-    the topmost capable frame (frames above it must be poppable)."""
+    the topmost frame that can take one (an unconstrained object, or a frame
+    still owed lines); every frame above it is poppable."""
     for frame in reversed(stack):
-        if _content_capable(frame):
+        if frame[0] == "obj" or frame[2]:
             return frame[1]
-        if not _poppable(frame):
-            return -1
     return -1
 
 
 def counters_clear(state) -> bool:
-    for frame in state[1]:
-        if not _poppable(frame):
-            return False
-    return True
+    return all(_poppable(frame) for frame in state[1])
 
 
 def accepting(state) -> bool:
     started, stack, line = state
     if not started:
         return False
-    if line == ("ind", 0):
+    if line == _IND0:
         return counters_clear(state)
     if line[0] == "ind":
         return False
@@ -212,148 +157,14 @@ def _push(stack, frame):
     return stack + (frame,)
 
 
-def _top(stack):
-    return stack[-1]
+def _take_one(stack):
+    """The top array frame with one item or row fewer owed."""
+    frame = stack[-1]
+    return stack[:-1] + ((frame[0], frame[1], frame[2] - 1) + frame[3:],)
 
 
-def _replace_top(stack, frame):
-    return stack[:-1] + (frame,)
-
-
-def _end_line(started, stack):
-    return (True, stack, ("ind", 0))
-
-
-# -- content-start dispatch --------------------------------------------------
-
-
-def _dispatch(stack, b):
-    """First content byte of a line, with the indent already resolved so the
-    top frame's col equals the line's indent.  Returns (stack, line) or None."""
-    frame = _top(stack)
-    tag = frame[0]
-    c = chr(b)
-    if tag == "obj":
-        if b == 0x22:  # '"'
-            return stack, ("qkey", (), 0)
-        if _key_start(b):
-            return stack, ("key", (c,))
-        return None
-    if tag == "sobj":
-        fields = frame[2]
-        if not fields:
-            return None
-        expect = fields[0][0]
-        if c == expect[0]:
-            return stack, ("skey", 1)
-        return None
-    if tag in ("larr", "slarr"):
-        if c != "-" or frame[2] == 0:
-            return None
-        # decrement remaining now; the item line is committed
-        if tag == "larr":
-            nf = ("larr", frame[1], frame[2] - 1)
-        else:
-            nf = ("slarr", frame[1], frame[2] - 1, frame[3])
-        return _replace_top(stack, nf), ("dash",)
-    if tag == "tarr":
-        if frame[2] == 0:
-            return None
-        return _begin_cell_u(stack, 0, b)
-    if tag == "starr":
-        if frame[2] == 0:
-            return None
-        line = _begin_typed(frame[3][0], ("c", 0), b)
-        if line is None:
-            return None
-        return stack, line
-    return None
-
-
-def _begin_cell_u(stack, idx, b):
-    if b == 0x22:
-        return stack, ("rq", idx, 0)
-    if b == SP or b == 0x2C or not _printable(b):  # no leading space, no empty cell
-        return None
-    return stack, ("rb", idx, False)
-
-
-def _begin_typed(fs, ctx, b):
-    """Micro-state for the first byte of a typed scalar; None if illegal."""
-    c = chr(b)
-    if isinstance(fs, IntType):
-        if c == "-":
-            return ("sint", "m", 0, ctx)
-        if c == "0":
-            return ("sint", "z", 1, ctx)
-        if c.isdigit():
-            return ("sint", "i", 1, ctx)
-        return None
-    if isinstance(fs, FloatType):
-        st = _num_step("", c)
-        if st == "X":
-            return None
-        return ("sflt", st, ctx)
-    if isinstance(fs, BoolType):
-        if c == "t":
-            return ("slit", "true", 1, ctx)
-        if c == "f":
-            return ("slit", "false", 1, ctx)
-        return None
-    if isinstance(fs, StrType):
-        if b == 0x22:
-            return ("sq", 0, ctx)
-        if c == " " or not _printable(b):
-            return None
-        if ctx[0] == "c" and c == ",":
-            return None
-        return ("sb", _num_step("", c), _lit_start(c), False, ctx)
-    return None
-
-
-# -- helpers applying line effects ------------------------------------------
-
-
-def _commit_key(stack, key):
-    """Key text finished (':' or '[' seen): record it on the top object frame."""
-    frame = _top(stack)
-    if frame[0] == "obj":
-        if key in frame[2]:
-            return None
-        return _replace_top(stack, ("obj", frame[1], frame[2] | {key}))
-    return None
-
-
-def _array_elem_layout(elem, count):
-    """'tab' when the schema forces tabular layout, else 'list'."""
-    if count > 0 and _tabular_schema(elem):
-        return "tab"
-    return "list"
-
-
-def _push_array(stack, marker, count, col):
-    """Push the frame for a completed list-array header line; ``col`` is the
-    column where the array's items/rows will sit."""
-    if marker == "u":
-        return _push(stack, ("larr", col, count))
-    elem = marker[1]
-    return _push(stack, ("slarr", col, count, elem))
-
-
-def _push_tabular_u(stack, count, arity, col):
-    return _push(stack, ("tarr", col, count, arity))
-
-
-def _push_tabular_s(stack, count, elem, col):
-    cols = tuple(fs for _, fs in elem.fields)
-    return _push(stack, ("starr", col, count, cols))
-
-
-def _row_done(stack):
-    frame = _top(stack)
-    if frame[0] == "tarr":
-        return _replace_top(stack, ("tarr", frame[1], frame[2] - 1, frame[3]))
-    return _replace_top(stack, ("starr", frame[1], frame[2] - 1, frame[3]))
+def _end_line(stack):
+    return (True, stack, _IND0)
 
 
 # -- main transition ---------------------------------------------------------
@@ -362,531 +173,434 @@ def _row_done(stack):
 def step(state, b: int):
     if b != NL and not (0x20 <= b <= 0x7E):
         return None
-    started, stack, line = state
-    tag = line[0]
-    c = chr(b)
+    line = state[2]
+    return _HANDLERS[line[0]](state[1], line, b)
 
-    # ---- line start / indent
-    if tag == "ind":
-        n = line[1]
-        if b == SP:
-            n += 1
-            # never indent past the deepest frame that can still take a line,
-            # otherwise the consumed spaces would have no legal continuation
-            if n > _max_content_col(stack):
-                return None
-            return (started, stack, ("ind", n))
-        if b == NL or not _printable(b):
+
+# Every handler takes ``(stack, line, b)`` for a byte that passed the guard in
+# ``step`` (NL or printable ASCII) and returns the next state or None.
+
+
+def _indent(stack, line, b):
+    n = line[1]
+    if b == SP:
+        n += 1
+        # never indent past the deepest frame that can still take a line,
+        # otherwise the consumed spaces would have no legal continuation
+        if n > _max_content_col(stack):
             return None
-        # resolve dedents
-        s = stack
-        while _top(s)[1] > n:
-            if not _poppable(_top(s)):
-                return None
-            s = s[:-1]
-        if _top(s)[1] != n:
-            return None
-        r = _dispatch(s, b)
-        if r is None:
-            return None
-        s2, line2 = r
-        return (True, s2, line2)
-
-    # ---- unconstrained bare key
-    if tag == "key":
-        chars = line[1]
-        if c == ":":
-            s2 = _commit_key(stack, "".join(chars))
-            if s2 is None:
-                return None
-            return (started, s2, ("val0",))
-        if c == "[":
-            if len(stack) >= MAX_DEPTH:
-                return None
-            s2 = _commit_key(stack, "".join(chars))
-            if s2 is None:
-                return None
-            return (started, s2, ("cnt", "u", 0, 0, _top(s2)[1] + 2))
-        if _key_char(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("key", chars + (c,)))
-        return None
-
-    # ---- quoted key
-    if tag == "qkey":
-        chars, esc = line[1], line[2]
-        if esc:
-            if b in _ESC_SET:
-                dec = {0x6E: "\n", 0x74: "\t", 0x72: "\r"}.get(b, c)
-                if len(chars) >= MAX_KEY:
-                    return None
-                return (started, stack, ("qkey", chars + (dec,), 0))
-            return None
-        if c == '"':
-            return (started, stack, ("keyend", chars))
-        if c == "\\":
-            return (started, stack, ("qkey", chars, 1))
-        if _printable(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("qkey", chars + (c,), 0))
-        return None
-
-    if tag == "keyend":
-        key = "".join(line[1])
-        if c == ":":
-            s2 = _commit_key(stack, key)
-            return None if s2 is None else (started, s2, ("val0",))
-        if c == "[":
-            if len(stack) >= MAX_DEPTH:
-                return None
-            s2 = _commit_key(stack, key)
-            if s2 is None:
-                return None
-            return (started, s2, ("cnt", "u", 0, 0, _top(s2)[1] + 2))
-        return None
-
-    # ---- schema key (exact spelling)
-    if tag == "skey":
-        pos = line[1]
-        frame = _top(stack)
-        name, fs = frame[2][0]
-        if pos < len(name):
-            if c == name[pos]:
-                return (started, stack, ("skey", pos + 1))
-            return None
-        # key complete: consume the field from the frame
-        s2 = _replace_top(stack, ("sobj", frame[1], frame[2][1:]))
-        if c == ":":
-            if isinstance(fs, ObjectType):
-                return (started, s2, ("onl", fs))
-            if _scalar_schema(fs):
-                return (started, s2, ("sp", fs))
-            return None
-        if c == "[" and isinstance(fs, ArrayType):
-            return (started, s2, ("cnt", ("s", fs.element), 0, 0, _top(s2)[1] + 2))
-        return None
-
-    if tag == "onl":
-        if b == NL:
-            fs = line[1]
-            s2 = _push(stack, ("sobj", _top(stack)[1] + 2, fs.fields))
-            return None if s2 is None else _end_line(started, s2)
-        return None
-
-    if tag == "sp":
-        if b == SP:
-            return (started, stack, ("tvs", line[1], "v"))
-        return None
-
-    if tag == "tvs":
-        micro = _begin_typed(line[1], line[2], b)
-        return None if micro is None else (started, stack, micro)
-
-    # ---- array count
-    if tag == "cnt":
-        marker, val, nd, ccol = line[1], line[2], line[3], line[4]
-        if c.isdigit():
-            if nd >= MAX_COUNT_DIGITS or (nd == 1 and val == 0):
-                return None
-            return (started, stack, ("cnt", marker, val * 10 + int(c), nd + 1, ccol))
-        if c == "]" and nd > 0:
-            return (started, stack, ("pc", marker, val, ccol))
-        return None
-
-    if tag == "pc":
-        marker, n, ccol = line[1], line[2], line[3]
-        if marker == "u":
-            if c == ":":
-                return (started, stack, ("lh", marker, n, ccol))
-            if c == "{":
-                return (started, stack, ("hstart", n, (), ccol))
-            return None
-        elem = marker[1]
-        if _array_elem_layout(elem, n) == "tab":
-            if c == "{":
-                expected = ",".join(name for name, _ in elem.fields) + "}:"
-                return (started, stack, ("shdr", n, elem, expected, 0, ccol))
-            return None
-        if c == ":":
-            return (started, stack, ("lh", marker, n, ccol))
-        return None
-
-    if tag == "lh":
-        if b == NL:
-            s2 = _push_array(stack, line[1], line[2], line[3])
-            return None if s2 is None else _end_line(started, s2)
-        return None
-
-    # ---- unconstrained tabular header
-    if tag == "hstart":
-        n, done, ccol = line[1], line[2], line[3]
-        if b == 0x22:
-            return (started, stack, ("hq", n, done, (), 0, ccol))
-        if _key_start(b):
-            return (started, stack, ("hbare", n, done, (c,), ccol))
-        return None
-
-    if tag == "hbare":
-        n, done, chars, ccol = line[1], line[2], line[3], line[4]
-        if c == ",":
-            h = "".join(chars)
-            if h in done:
-                return None
-            return (started, stack, ("hstart", n, done + (h,), ccol))
-        if c == "}":
-            h = "".join(chars)
-            if h in done:
-                return None
-            return (started, stack, ("ph", n, len(done) + 1, ccol))
-        if _key_char(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("hbare", n, done, chars + (c,), ccol))
-        return None
-
-    if tag == "hq":
-        n, done, chars, esc, ccol = line[1], line[2], line[3], line[4], line[5]
-        if esc:
-            if b in _ESC_SET:
-                dec = {0x6E: "\n", 0x74: "\t", 0x72: "\r"}.get(b, c)
-                if len(chars) >= MAX_KEY:
-                    return None
-                return (started, stack, ("hq", n, done, chars + (dec,), 0, ccol))
-            return None
-        if c == '"':
-            return (started, stack, ("hqe", n, done, chars, ccol))
-        if c == "\\":
-            return (started, stack, ("hq", n, done, chars, 1, ccol))
-        if _printable(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("hq", n, done, chars + (c,), 0, ccol))
-        return None
-
-    if tag == "hqe":
-        n, done, chars, ccol = line[1], line[2], line[3], line[4]
-        h = "".join(chars)
-        if h in done:
-            return None
-        if c == ",":
-            return (started, stack, ("hstart", n, done + (h,), ccol))
-        if c == "}":
-            return (started, stack, ("ph", n, len(done) + 1, ccol))
-        return None
-
-    if tag == "ph":
-        if c == ":":
-            return (started, stack, ("th", line[1], line[2], line[3]))
-        return None
-
-    if tag == "th":
-        if b == NL:
-            s2 = _push_tabular_u(stack, line[1], line[2], line[3])
-            return None if s2 is None else _end_line(started, s2)
-        return None
-
-    # ---- schema tabular header (exact spelling)
-    if tag == "shdr":
-        n, elem, expected, pos, ccol = line[1], line[2], line[3], line[4], line[5]
-        if c == expected[pos]:
-            pos += 1
-            if pos == len(expected):
-                return (started, stack, ("sth", n, elem, ccol))
-            return (started, stack, ("shdr", n, elem, expected, pos, ccol))
-        return None
-
-    if tag == "sth":
-        if b == NL:
-            s2 = _push_tabular_s(stack, line[1], line[2], line[3])
-            return None if s2 is None else _end_line(started, s2)
-        return None
-
-    # ---- unconstrained values
-    if tag == "val0":
-        if b == NL:
-            s2 = _push(stack, ("obj", _top(stack)[1] + 2, _EMPTY))
-            return None if s2 is None else _end_line(started, s2)
-        if b == SP:
-            return (started, stack, ("val1",))
-        return None
-
-    if tag == "val1":
-        if b == 0x22:
-            return (started, stack, ("qval", 0))
-        if b == SP or b == NL or not _printable(b):
-            return None
-        return (started, stack, ("bval", False))
-
-    if tag == "bval":
-        tsp = line[1]
-        if b == NL:
-            return None if tsp else _end_line(started, stack)
-        if _printable(b):
-            return (started, stack, ("bval", b == SP))
-        return None
-
-    if tag == "qval":
-        esc = line[1]
-        if esc:
-            if b == 0x75:  # \u
-                return (started, stack, ("qvalu", 4))
-            return (started, stack, ("qval", 0)) if b in _ESC_SET else None
-        if c == '"':
-            return (started, stack, ("eol",))
-        if c == "\\":
-            return (started, stack, ("qval", 1))
-        return (started, stack, ("qval", 0)) if _printable(b) else None
-
-    if tag == "qvalu":
-        k = line[1]
-        if c is not None and c in "0123456789abcdefABCDEF":
-            return (started, stack, ("qvalu", k - 1)) if k > 1 else (started, stack, ("qval", 0))
-        return None
-
-    if tag == "eol":
-        if b == NL:
-            return _end_line(started, stack)
-        return None
-
-    # ---- list items
-    if tag == "dash":
-        if b == NL:
-            # bare '-' is an empty-object item; under a schema that is only
-            # valid when the element type is an empty object
-            frame = _top(stack)
-            if frame[0] == "slarr":
-                elem = frame[3]
-                if not (isinstance(elem, ObjectType) and not elem.fields):
-                    return None
-            return _end_line(started, stack)
-        if b == SP:
-            frame = _top(stack)
-            if frame[0] == "slarr":
-                elem = frame[3]
-                if isinstance(elem, ObjectType):
-                    if not elem.fields:
-                        return None
-                    s2 = _push(stack, ("sobj", frame[1] + 2, elem.fields))
-                    return None if s2 is None else (started, s2, ("scs",))
-                if isinstance(elem, ArrayType):
-                    return (started, stack, ("iarr", elem))
-                return (started, stack, ("tvs", elem, "v"))
-            return (started, stack, ("item0",))
-        return None
-
-    if tag == "scs":
-        # schema item content start: first byte of the expected first key
-        r = _dispatch(stack, b)
-        if r is None:
-            return None
-        s2, line2 = r
-        return (started, s2, line2)
-
-    if tag == "iarr":
-        if c == "[":
-            # header sits two columns right of the dash; its items two more
-            return (started, stack, ("cnt", ("s", line[1].element), 0, 0,
-                                     _top(stack)[1] + 4))
-        return None
-
-    if tag == "item0":
-        if c == "[":
-            if len(stack) >= MAX_DEPTH:
-                return None
-            return (started, stack, ("cnt", "u", 0, 0, _top(stack)[1] + 4))
-        if b == 0x22:
-            return (started, stack, ("iq", (), 0))
-        if b == SP or b == NL or not _printable(b):
-            return None
-        return (started, stack, ("ib", (c,), False))
-
-    if tag == "ib":
-        chars, tsp = line[1], line[2]
-        if c == ":":
-            if tsp:
-                return None
-            key = "".join(chars)
-            s2 = _push(stack, ("obj", _top(stack)[1] + 2, frozenset((key,))))
-            return None if s2 is None else (started, s2, ("val0",))
-        if c == "[":
-            # the object frame plus the array frame must both fit
-            if tsp or len(stack) + 1 >= MAX_DEPTH:
-                return None
-            key = "".join(chars)
-            s2 = _push(stack, ("obj", _top(stack)[1] + 2, frozenset((key,))))
-            if s2 is None:
-                return None
-            return (started, s2, ("cnt", "u", 0, 0, _top(s2)[1] + 2))
-        if b == NL:
-            return None if tsp else _end_line(started, stack)  # scalar item
-        if _printable(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("ib", chars + (c,), b == SP))
-        return None
-
-    if tag == "iq":
-        chars, esc = line[1], line[2]
-        if esc:
-            if b in _ESC_SET:
-                dec = {0x6E: "\n", 0x74: "\t", 0x72: "\r"}.get(b, c)
-                if len(chars) >= MAX_KEY:
-                    return None
-                return (started, stack, ("iq", chars + (dec,), 0))
-            return None
-        if c == '"':
-            return (started, stack, ("iqe", chars))
-        if c == "\\":
-            return (started, stack, ("iq", chars, 1))
-        if _printable(b) and len(chars) < MAX_KEY:
-            return (started, stack, ("iq", chars + (c,), 0))
-        return None
-
-    if tag == "iqe":
-        key = "".join(line[1])
-        if b == NL:
-            return _end_line(started, stack)  # quoted scalar item
-        if c == ":":
-            s2 = _push(stack, ("obj", _top(stack)[1] + 2, frozenset((key,))))
-            return None if s2 is None else (started, s2, ("val0",))
-        if c == "[":
-            if len(stack) + 1 >= MAX_DEPTH:
-                return None
-            s2 = _push(stack, ("obj", _top(stack)[1] + 2, frozenset((key,))))
-            if s2 is None:
-                return None
-            return (started, s2, ("cnt", "u", 0, 0, _top(s2)[1] + 2))
-        return None
-
-    # ---- unconstrained tabular rows
-    if tag == "rs":
-        r = _begin_cell_u(stack, line[1], b)
-        if r is None:
-            return None
-        s2, line2 = r
-        return (started, s2, line2)
-
-    if tag == "rb":
-        idx, tsp = line[1], line[2]
-        arity = _top(stack)[3]
-        if c == ",":
-            if tsp or idx + 1 >= arity:
-                return None
-            return (started, stack, ("rs", idx + 1))
-        if b == NL:
-            if tsp or idx + 1 != arity:
-                return None
-            return _end_line(started, _row_done(stack))
-        if _printable(b):
-            return (started, stack, ("rb", idx, b == SP))
-        return None
-
-    if tag == "rq":
-        idx, esc = line[1], line[2]
-        if esc:
-            if b == 0x75:
-                return (started, stack, ("rqu", idx, 4))
-            return (started, stack, ("rq", idx, 0)) if b in _ESC_SET else None
-        if c == '"':
-            return (started, stack, ("rqe", idx))
-        if c == "\\":
-            return (started, stack, ("rq", idx, 1))
-        return (started, stack, ("rq", idx, 0)) if _printable(b) else None
-
-    if tag == "rqu":
-        idx, k = line[1], line[2]
-        if c is not None and c in "0123456789abcdefABCDEF":
-            return (started, stack, ("rqu", idx, k - 1)) if k > 1 else (started, stack, ("rq", idx, 0))
-        return None
-
-    if tag == "rqe":
-        idx = line[1]
-        arity = _top(stack)[3]
-        if c == ",":
-            if idx + 1 >= arity:
-                return None
-            return (started, stack, ("rs", idx + 1))
-        if b == NL:
-            if idx + 1 != arity:
-                return None
-            return _end_line(started, _row_done(stack))
-        return None
-
-    # ---- typed scalars (schema mode)
-    if tag in ("sint", "sflt", "slit", "sb", "sq", "squ", "sqe"):
-        return _typed_step(started, stack, line, b, c)
-
-    return None
-
-
-def _typed_end(started, stack, line_ctx, b):
-    """Terminator byte for a typed scalar; returns new state or None."""
-    if line_ctx == "v":
-        if b == NL:
-            return _end_line(started, stack)
-        return None
-    _, idx = line_ctx
-    frame = _top(stack)
-    cols = frame[3]
-    if b == 0x2C:  # ','
-        if idx + 1 >= len(cols):
-            return None
-        return (started, stack, ("tvs", cols[idx + 1], ("c", idx + 1)))
+        return (True, stack, ("ind", n))
     if b == NL:
-        if idx + 1 != len(cols):
+        return None
+    # resolve dedents
+    while stack[-1][1] > n:
+        if not _poppable(stack[-1]):
             return None
-        return _end_line(started, _row_done(stack))
-    return None
+        stack = stack[:-1]
+    if stack[-1][1] != n:
+        return None
+    return _dispatch(stack, b)
 
 
-def _typed_step(started, stack, line, b, c):
-    tag = line[0]
-    if tag == "sint":
-        st, nd, ctx = line[1], line[2], line[3]
-        if c is not None and c.isdigit():
-            if st == "m":
-                if c == "0":
-                    return (started, stack, ("sint", "z", 1, ctx))
-                return (started, stack, ("sint", "i", 1, ctx))
-            if st == "i" and nd < MAX_INT_DIGITS:
-                return (started, stack, ("sint", "i", nd + 1, ctx))
-            return None
-        if st in ("z", "i"):
-            return _typed_end(started, stack, ctx, b)
+def _dispatch(stack, b):
+    """First content byte of a line, with the indent already resolved so the
+    top frame's col equals the line's indent."""
+    frame = stack[-1]
+    tag = frame[0]
+    if tag == "obj":
+        if b == 0x22:
+            return (True, stack, ("q", _KEYEND, "", 0))
+        if b in _KEY_START:
+            return (True, stack, ("key", _KEYEND, chr(b)))
         return None
-    if tag == "sflt":
-        st, ctx = line[1], line[2]
-        if c is not None:
-            nxt = _num_step(st, c)
-            if nxt != "X":
-                return (started, stack, ("sflt", nxt, ctx))
-        if st in _NUM_ACC:
-            return _typed_end(started, stack, ctx, b)
+    if tag == "sobj":
+        return _schema_key(stack, _SKEY0, b) if frame[2] else None
+    if frame[2] == 0:
         return None
-    if tag == "slit":
-        word, pos, ctx = line[1], line[2], line[3]
-        if pos < len(word):
-            if c == word[pos]:
-                return (started, stack, ("slit", word, pos + 1, ctx))
+    if tag in ("larr", "slarr"):
+        # decrement remaining now; the item line is committed
+        return (True, _take_one(stack), _DASH) if b == 0x2D else None
+    return _begin_value(stack, frame[3][0], 0, b)
+
+
+def _quoted(stack, line, b):
+    """Inside a quoted string.  ``chars`` is the text so far for a key, kept
+    (at most MAX_KEY characters, no ``\\u`` escapes), or None for a value or
+    cell, dropped (``\\u`` plus 4 hex digits allowed).  ``esc`` is 0 in plain
+    text, 1 after a backslash, and -k while k hex digits of a ``\\u`` escape
+    remain.  The closing quote enters ``cont``, with a key's text
+    appended."""
+    _, cont, chars, esc = line
+    if esc == 0:
+        if b == 0x22:
+            return (True, stack, cont if chars is None else cont + (chars,))
+        if b == 0x5C:
+            return (True, stack, ("q", cont, chars, 1))
+        if b == NL:
             return None
-        return _typed_end(started, stack, ctx, b)
-    if tag == "sb":
-        num, lit, tsp, ctx = line[1], line[2], line[3], line[4]
-        if b == NL or (ctx != "v" and b == 0x2C):
-            if tsp or num in _NUM_ACC or _lit_done(lit):
+        if chars is None:
+            return (True, stack, line)
+        return (True, stack, ("q", cont, chars + chr(b), 0)) if len(chars) < MAX_KEY else None
+    if esc == 1:
+        if b in _UNESCAPE:
+            if chars is None:
+                return (True, stack, ("q", cont, None, 0))
+            if len(chars) >= MAX_KEY:
                 return None
-            return _typed_end(started, stack, ctx, b)
-        if not _printable(b):
-            return None
-        return (started, stack, ("sb", _num_step(num, c), _lit_step(lit, c), b == SP, ctx))
-    if tag == "sq":
-        esc, ctx = line[1], line[2]
-        if esc:
-            if b == 0x75:
-                return (started, stack, ("squ", 4, ctx))
-            return (started, stack, ("sq", 0, ctx)) if b in _ESC_SET else None
-        if c == '"':
-            return (started, stack, ("sqe", ctx))
-        if c == "\\":
-            return (started, stack, ("sq", 1, ctx))
-        return (started, stack, ("sq", 0, ctx)) if _printable(b) else None
-    if tag == "squ":
-        k, ctx = line[1], line[2]
-        if c is not None and c in "0123456789abcdefABCDEF":
-            return (started, stack, ("squ", k - 1, ctx)) if k > 1 else (started, stack, ("sq", 0, ctx))
+            return (True, stack, ("q", cont, chars + _UNESCAPE[b], 0))
+        if b == 0x75 and chars is None:
+            return (True, stack, ("q", cont, None, -4))
         return None
-    if tag == "sqe":
-        return _typed_end(started, stack, line[1], b)
+    if b in _HEX:
+        return (True, stack, ("q", cont, None, esc + 1))
     return None
+
+
+def _bare_key(stack, line, b):
+    """Bare key ``[A-Za-z0-9_.-]``, at most MAX_KEY characters; its first
+    byte was checked on entry.  The first byte that cannot extend it goes to
+    the continuation ``cont``, with the key appended."""
+    _, cont, chars = line
+    if b in _KEY_CHARS:
+        return (True, stack, ("key", cont, chars + chr(b))) if len(chars) < MAX_KEY else None
+    return _HANDLERS[cont[0]](stack, cont + (chars,), b)
+
+
+def _finish_key(stack, key, b, item=False):
+    """``key`` is ended by ':' (a value follows) or '[' (an array header
+    follows) and joins the top object frame, which must not hold it yet.  The
+    first key of a list item (``item``) opens that frame, two columns right
+    of the dash."""
+    if b != 0x3A and b != 0x5B:
+        return None
+    if item:
+        stack = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
+        if stack is None:
+            return None
+    _, col, keys = stack[-1]
+    if key in keys:
+        return None
+    stack = stack[:-1] + (("obj", col, keys | {key}),)
+    if b == 0x3A:
+        return (True, stack, _VAL0)
+    # the array frame must fit as well
+    if len(stack) >= MAX_DEPTH:
+        return None
+    return (True, stack, ("cnt", "u", 0, 0, col + 2))
+
+
+def _key_end(stack, line, b):
+    return _finish_key(stack, line[1], b)
+
+
+def _schema_key(stack, line, b):
+    """Schema key, spelled exactly as the next field of the top frame."""
+    pos = line[1]
+    frame = stack[-1]
+    name, fs = frame[2][0]
+    if pos < len(name):
+        return (True, stack, ("skey", pos + 1)) if chr(b) == name[pos] else None
+    # key complete: consume the field from the frame
+    s2 = stack[:-1] + (("sobj", frame[1], frame[2][1:]),)
+    if b == 0x3A:
+        if isinstance(fs, ObjectType):
+            return (True, s2, ("nl", ("sobj", frame[1] + 2, fs.fields)))
+        if _scalar_schema(fs):
+            return (True, s2, ("sp", fs))
+        return None
+    if b == 0x5B and isinstance(fs, ArrayType):
+        return (True, s2, ("cnt", ("s", fs.element), 0, 0, frame[1] + 2))
+    return None
+
+
+def _space(stack, line, b):
+    return (True, stack, ("tvs", line[1], None)) if b == SP else None
+
+
+def _value_start(stack, line, b):
+    return _begin_value(stack, line[1], line[2], b)
+
+
+def _open_frame(stack, line, b):
+    """A header line is complete: its newline opens ``frame``."""
+    if b != NL:
+        return None
+    s2 = _push(stack, line[1])
+    return None if s2 is None else _end_line(s2)
+
+
+# -- array headers -----------------------------------------------------------
+
+
+def _count(stack, line, b):
+    _, marker, val, nd, ccol = line
+    if 0x30 <= b <= 0x39:
+        if nd >= MAX_COUNT_DIGITS or (nd == 1 and val == 0):
+            return None
+        return (True, stack, ("cnt", marker, val * 10 + b - 0x30, nd + 1, ccol))
+    if b == 0x5D and nd > 0:
+        return (True, stack, ("pc", marker, val, ccol))
+    return None
+
+
+def _after_count(stack, line, b):
+    """After ``[n]``: ':' for a list, '{' for a tabular header.  ``ccol``
+    is the column where the items or rows will sit."""
+    _, marker, n, ccol = line
+    if marker == "u":
+        if b == 0x3A:
+            return (True, stack, ("nl", ("larr", ccol, n)))
+        if b == 0x7B:
+            return (True, stack, ("hstart", n, (), ccol))
+        return None
+    elem = marker[1]
+    if n > 0 and _tabular_schema(elem):  # the schema forces tabular layout
+        if b != 0x7B:
+            return None
+        expected = ",".join(name for name, _ in elem.fields) + "}:"
+        return (True, stack, ("shdr", n, elem, expected, 0, ccol))
+    return (True, stack, ("nl", ("slarr", ccol, n, elem))) if b == 0x3A else None
+
+
+def _header_start(stack, line, b):
+    """Start of an unconstrained tabular header name; the name is lexed as
+    a key and then handed to ``hqe``."""
+    if b == 0x22:
+        return (True, stack, ("q", ("hqe",) + line[1:], "", 0))
+    if b in _KEY_START:
+        return (True, stack, ("key", ("hqe",) + line[1:], chr(b)))
+    return None
+
+
+def _header_end(stack, line, b):
+    _, n, done, ccol, h = line
+    if h in done:
+        return None
+    if b == 0x2C:
+        return (True, stack, ("hstart", n, done + (h,), ccol))
+    if b == 0x7D:
+        return (True, stack, ("ph", n, len(done) + 1, ccol))
+    return None
+
+
+def _header_close(stack, line, b):
+    if b != 0x3A:
+        return None
+    _, n, arity, ccol = line
+    return (True, stack, ("nl", ("tarr", ccol, n, (None,) * arity)))
+
+
+def _schema_header(stack, line, b):
+    """Schema tabular header, spelled exactly."""
+    _, n, elem, expected, pos, ccol = line
+    if chr(b) != expected[pos]:
+        return None
+    pos += 1
+    if pos < len(expected):
+        return (True, stack, ("shdr", n, elem, expected, pos, ccol))
+    cols = tuple(fs for _, fs in elem.fields)
+    return (True, stack, ("nl", ("starr", ccol, n, cols)))
+
+
+# -- unconstrained values ----------------------------------------------------
+
+
+def _after_colon(stack, line, b):
+    if b == NL:
+        s2 = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
+        return None if s2 is None else _end_line(s2)
+    return (True, stack, _VALUE) if b == SP else None
+
+
+# -- list items --------------------------------------------------------------
+
+
+def _dash(stack, line, b):
+    frame = stack[-1]
+    elem = frame[3] if frame[0] == "slarr" else None
+    if b == NL:
+        # bare '-' is an empty-object item; under a schema that is only
+        # valid when the element type is an empty object
+        if frame[0] == "slarr" and not (isinstance(elem, ObjectType) and not elem.fields):
+            return None
+        return _end_line(stack)
+    if b != SP:
+        return None
+    if frame[0] != "slarr":
+        return (True, stack, _ITEM0)
+    if isinstance(elem, ObjectType):
+        if not elem.fields:
+            return None
+        s2 = _push(stack, ("sobj", frame[1] + 2, elem.fields))
+        return None if s2 is None else (True, s2, _SKEY0)
+    if isinstance(elem, ArrayType):
+        return (True, stack, ("iarr", elem))
+    return (True, stack, ("tvs", elem, None))
+
+
+def _item_array(stack, line, b):
+    if b != 0x5B:
+        return None
+    # header sits two columns right of the dash; its items two more
+    return (True, stack, ("cnt", ("s", line[1].element), 0, 0, stack[-1][1] + 4))
+
+
+def _item_start(stack, line, b):
+    if b == 0x5B:
+        if len(stack) >= MAX_DEPTH:
+            return None
+        return (True, stack, ("cnt", "u", 0, 0, stack[-1][1] + 4))
+    if b == 0x22:
+        return (True, stack, ("q", _IQE, "", 0))
+    if b == SP or b == NL:
+        return None
+    return (True, stack, ("ib", chr(b), False))
+
+
+def _item_bare(stack, line, b):
+    """A list item's bare first token: a key (ended by ':' or '[') or a
+    scalar (ended by NL).  Any printable byte but ':' and '[' extends it;
+    ``tsp`` flags a trailing space, on which neither may end."""
+    _, chars, tsp = line
+    if b == 0x3A or b == 0x5B:
+        return None if tsp else _finish_key(stack, chars, b, item=True)
+    if b == NL:
+        return None if tsp else _end_line(stack)  # scalar item
+    if len(chars) >= MAX_KEY:
+        return None
+    return (True, stack, ("ib", chars + chr(b), b == SP))
+
+
+def _item_quoted_end(stack, line, b):
+    if b == NL:
+        return _end_line(stack)  # quoted scalar item
+    return _finish_key(stack, line[1], b, item=True)
+
+
+# -- scalar values and tabular cells -----------------------------------------
+
+
+def _begin_value(stack, fs, ctx, b):
+    """First byte of a scalar of schema type ``fs`` (None: unconstrained) in
+    context ``ctx``: None after ``key: `` or ``- ``, else the index of a
+    cell in the row of the top tabular frame."""
+    if fs is None or isinstance(fs, StrType):
+        if b == 0x22:
+            return (True, stack, ("q", ("sqe", ctx), None, 0))
+        # no leading space, and no empty cell
+        if b == SP or b == NL or (b == 0x2C and ctx is not None):
+            return None
+        if fs is None:
+            return (True, stack, ("bval", False, ctx))
+        c = chr(b)
+        lit = c if c in _LIT_PREFIXES else None
+        return (True, stack, ("sb", _num_step("", b), lit, False, ctx))
+    # other types read their first byte with their own handler
+    if isinstance(fs, IntType):
+        minus = ("sint", "m", 0, ctx)
+        return (True, stack, minus) if b == 0x2D else _int_value(stack, minus, b)
+    if isinstance(fs, FloatType):
+        return _float_value(stack, ("sflt", "", ctx), b)
+    if isinstance(fs, BoolType):
+        return _bool_value(stack, ("slit", "true" if b == 0x74 else "false", 0, ctx), b)
+    return None
+
+
+def _value_end(stack, ctx, b):
+    """Terminator byte after a scalar: NL ends a value line; a cell ends with
+    ',' when another cell follows and with NL after the last one, which
+    completes the row."""
+    if ctx is None:
+        return _end_line(stack) if b == NL else None
+    cols = stack[-1][3]
+    if b == 0x2C:
+        if ctx + 1 >= len(cols):
+            return None
+        return (True, stack, ("tvs", cols[ctx + 1], ctx + 1))
+    if b == NL and ctx + 1 == len(cols):
+        return _end_line(_take_one(stack))
+    return None
+
+
+def _bare_value(stack, line, b):
+    """Unconstrained bare value or cell: printable bytes up to NL (or ','
+    in a cell); ``tsp`` flags a trailing space, on which it may not end."""
+    _, tsp, ctx = line
+    if b == NL or (b == 0x2C and ctx is not None):
+        return None if tsp else _value_end(stack, ctx, b)
+    return (True, stack, ("bval", b == SP, ctx))
+
+
+def _int_value(stack, line, b):
+    _, st, nd, ctx = line
+    if 0x30 <= b <= 0x39:
+        if st == "m":
+            return (True, stack, ("sint", "z" if b == 0x30 else "i", 1, ctx))
+        if st == "i" and nd < MAX_INT_DIGITS:
+            return (True, stack, ("sint", "i", nd + 1, ctx))
+        return None
+    return None if st == "m" else _value_end(stack, ctx, b)
+
+
+def _float_value(stack, line, b):
+    _, st, ctx = line
+    nxt = _num_step(st, b)
+    if nxt != "X":
+        return (True, stack, ("sflt", nxt, ctx))
+    return _value_end(stack, ctx, b) if st in _NUM_ACC else None
+
+
+def _bool_value(stack, line, b):
+    _, word, pos, ctx = line
+    if pos < len(word):
+        return (True, stack, ("slit", word, pos + 1, ctx)) if chr(b) == word[pos] else None
+    return _value_end(stack, ctx, b)
+
+
+def _str_value(stack, line, b):
+    """Bare StrType lexeme, tracked by the numeral DFA (``num``) and as a
+    literal prefix (``lit``) so that it cannot end as a number or literal."""
+    _, num, lit, tsp, ctx = line
+    if b == NL or (b == 0x2C and ctx is not None):
+        if tsp or num in _NUM_ACC or lit in _LITERALS:
+            return None
+        return _value_end(stack, ctx, b)
+    if lit is not None:
+        lit += chr(b)
+        if lit not in _LIT_PREFIXES:
+            lit = None
+    return (True, stack, ("sb", _num_step(num, b), lit, b == SP, ctx))
+
+
+def _quoted_value_end(stack, line, b):
+    return _value_end(stack, line[1], b)
+
+
+_HANDLERS = {
+    "ind": _indent,  # (n): n spaces of indent so far
+    "key": _bare_key,  # (cont, chars)
+    "q": _quoted,  # (cont, chars, esc)
+    "keyend": _key_end,  # (key): object key read
+    "skey": _schema_key,  # (pos): schema key spelled up to pos
+    "sp": _space,  # (fs): the space after a schema scalar key's ':'
+    "tvs": _value_start,  # (fs, ctx): scalar value or cell starts
+    "nl": _open_frame,  # (frame): header line done
+    "cnt": _count,  # (marker, val, ndigits, ccol): array count digits
+    "pc": _after_count,  # (marker, n, ccol)
+    "hstart": _header_start,  # (n, names, ccol): tabular header name starts
+    "hqe": _header_end,  # (n, names, ccol, name): header name read
+    "ph": _header_close,  # (n, arity, ccol): after the header's '}'
+    "shdr": _schema_header,  # (n, elem, expected, pos, ccol)
+    "val0": _after_colon,  # after an unconstrained key's ':'
+    "bval": _bare_value,  # (tsp, ctx)
+    "dash": _dash,  # after a list item's '-'
+    "iarr": _item_array,  # (elem): schema array item, expects '['
+    "item0": _item_start,  # after an unconstrained item's "- "
+    "ib": _item_bare,  # (chars, tsp)
+    "iqe": _item_quoted_end,  # (text): item's quoted first token read
+    "sint": _int_value,  # (st, ndigits, ctx)
+    "sflt": _float_value,  # (st, ctx)
+    "slit": _bool_value,  # (word, pos, ctx)
+    "sb": _str_value,  # (num, lit, tsp, ctx)
+    "sqe": _quoted_value_end,  # (ctx): quoted value or cell read
+}

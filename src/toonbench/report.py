@@ -152,11 +152,10 @@ def efficiency(rows: List[dict],
                         continue
                     finals.append(_mean([c["final_success"] for c in cells]))
                     tokens.append(_mean([c["tokens"] for c in cells]))
-                if not finals:
+                # no cells, or only all_transport ones, which used no tokens
+                if not any(tokens):
                     continue
-                mean_tokens = _mean(tokens)
-                assert mean_tokens > 0, "every attempt consumes prompt tokens"
-                out[model][track][group] = _mean(finals) / (mean_tokens / 1000.0)
+                out[model][track][group] = _mean(finals) / (_mean(tokens) / 1000.0)
     return out
 
 
@@ -171,6 +170,17 @@ def format_percent(fraction: float) -> str:
 
 def format_tokens(tokens: float) -> str:
     return str(int(Decimal(str(tokens)).quantize(Decimal("1"), ROUND_HALF_UP)))
+
+
+def _render_grid(title: str, header: List[str], body: List[List[str]]) -> List[str]:
+    """A titled text grid: left-aligned columns two spaces apart, with a
+    dashed rule under the header."""
+    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
+    lines = [title, ""]
+    for row in [header, ["-" * w for w in widths]] + body:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    lines.append("")
+    return lines
 
 
 def _render_table(title: str, row_label: str, table: Dict[str, Dict[str, dict]],
@@ -189,35 +199,20 @@ def _render_table(title: str, row_label: str, table: Dict[str, Dict[str, dict]],
                 row += [format_percent(m["one_shot"]), format_percent(m["final"]),
                         format_tokens(m["tokens"])]
         body.append(row)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = [title, ""]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for row in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    lines.append("")
-    return lines
+    return _render_grid(title, header, body)
 
 
 def _render_efficiency_table(eff, grouping) -> List[str]:
-    groups = list(grouping)
-    header = ["model", "track"] + [f"{g} eff/1k" for g in groups]
+    header = ["model", "track"] + [f"{g} eff/1k" for g in grouping]
     body = []
     for model in eff:
         for track in eff[model]:
             row = [model, track]
-            for g in groups:
+            for g in grouping:
                 v = eff[model][track].get(g)
                 row.append("-" if v is None else f"{v:.3f}")
             body.append(row)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = ["Token efficiency by case group", ""]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for row in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    lines.append("")
-    return lines
+    return _render_grid("Token efficiency by case group", header, body)
 
 
 def _figure_rows(eff, group: str) -> List[tuple]:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .toon import encode_toon
+from .toon import _INT_RE, _NUM_RE, encode_toon
 from .values import Value, emit_canonical_json, format_path
 
 
@@ -61,10 +60,6 @@ class ValidationError:
         return f"{format_path(self.path)}: expected {self.expected}, found {self.found}"
 
 
-_INT_STR_RE = re.compile(r"-?\d+\Z")
-_FLOAT_STR_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
-
-
 def _found_kind(v: Value) -> str:
     if v is None:
         return "null"
@@ -95,12 +90,12 @@ def validate(v: Value, s: Schema, _path=()) -> list:
     if kind == "int":
         ok = (found == "int"
               or (found == "float" and v.is_integer())
-              or (found == "str" and _INT_STR_RE.match(v)))
+              or (found == "str" and _INT_RE.match(v)))
         if not ok:
             errors.append(ValidationError(_path, "int", found))
     elif kind == "float":
         ok = (found in ("int", "float")
-              or (found == "str" and _FLOAT_STR_RE.match(v)))
+              or (found == "str" and _NUM_RE.match(v)))
         if not ok:
             errors.append(ValidationError(_path, "float", found))
     elif kind == "str":

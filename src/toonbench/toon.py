@@ -86,7 +86,8 @@ def _lex_bare_scalar(text: str) -> Value:
 def _needs_quotes(s: str) -> bool:
     if s == "":
         return True
-    if s != s.strip(" "):
+    # the parser strips every edge whitespace (str.strip), Unicode included
+    if s != s.strip():
         return True
     if any(c in s for c in ',:"\\[') or any(ord(c) < 0x20 for c in s):
         return True

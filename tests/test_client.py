@@ -132,6 +132,17 @@ def test_http_missing_usage_is_flagged_and_estimated(server):
     assert resp.completion_tokens == estimate_tokens("abcdefgh")
 
 
+def test_http_null_content_is_api_error(server):
+    # a refusal, tool call or truncation can come back with no text at all;
+    # as an ApiError it costs one attempt, not the whole run
+    client = HttpClient(server)
+    for usage in (True, False):
+        _Handler.script = [(200, _ok_payload(None, usage=usage))]
+        with pytest.raises(ApiError) as ei:
+            client.complete(REQ)
+        assert ei.value.status == 200
+
+
 def test_http_client_error_raises_api_error(server):
     _Handler.script = [(400, {"error": "bad request"})]
     with pytest.raises(ApiError) as ei:

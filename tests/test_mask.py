@@ -1,19 +1,24 @@
 """Grammar automata, token masks, and constrained generation."""
 
+import gc
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import toonbench.mask.engine as engine
 from toonbench.mask import (DeadEndError, RejectError, UnsupportedSchemaError,
                             Vocabulary, advance, allowed_mask,
                             build_toy_vocabulary, constrained_generate,
                             init_state, is_accepting, load_vocabulary,
                             save_vocabulary)
+from toonbench.mask import json_machine, toon_machine
 from toonbench.mask.engine import advance_bytes, step_byte
 from toonbench.schemas import (ArrayType, IntType, ObjectType, StrType,
                                validate)
-from toonbench.toon import encode_toon, parse_toon
-from toonbench.values import emit_canonical_json, parse_json
+from toonbench.toon import _NUM_RE, encode_toon, parse_toon
+from toonbench.values import JsonParseError, emit_canonical_json, parse_json
 
 
 def gold_texts(cases):
@@ -136,6 +141,36 @@ def test_json_mode_checks_well_formedness():
     assert not is_accepting(advance_bytes(init_state("json"), b'{"a": {'))
 
 
+def _numeral_dfa_accepts(machine, data: bytes) -> bool:
+    st = ""
+    for b in data:
+        st = machine._num_step(st, b)
+        if st is None:  # the JSON table has no dead state
+            return False
+    return st in machine._NUM_ACC
+
+
+def _json_number(text: str) -> bool:
+    try:
+        v = parse_json(text)
+    except JsonParseError:
+        return False
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def test_numeral_dfas_match_their_reference_grammars():
+    """Every string of length <= 4 over the numeral alphabet: the TOON DFA
+    accepts exactly what toon._NUM_RE matches, the JSON DFA exactly what
+    parse_json reads as a number."""
+    for n in range(5):
+        for chars in itertools.product("-0123456789.eE+", repeat=n):
+            text = "".join(chars)
+            data = text.encode()
+            assert (_numeral_dfa_accepts(toon_machine, data)
+                    == bool(_NUM_RE.match(text))), text
+            assert _numeral_dfa_accepts(json_machine, data) == _json_number(text), text
+
+
 # -- masks -------------------------------------------------------------------
 
 
@@ -198,6 +233,22 @@ def test_tokenization_independence(cases, vocab):
             tok_state = advance(tok_state, t, vocab)
             pos += len(vocab.token_bytes(t))
             assert tok_state == states[pos]
+
+
+def test_mask_caches_die_with_their_vocabulary():
+    """A mask cache lives as long as its vocabulary: dropped vocabularies
+    leave no cache behind, and a new vocabulary (which may reuse a dropped
+    one's id()) never sees a stale mask."""
+    gc.collect()
+    before = len(engine._caches)
+    st0 = init_state("toon")
+    for i in range(50):
+        tokens = [bytes([0x61 + i % 26]), b" ", b'"', b"{"]
+        vocab = Vocabulary(tokens[i % 4:] + tokens[:i % 4])  # legal ids move
+        assert allowed_mask(st0, vocab).allowed == brute_force_mask(st0, vocab)
+        del vocab
+    gc.collect()
+    assert len(engine._caches) <= before
 
 
 # -- constrained generation --------------------------------------------------
@@ -315,6 +366,46 @@ def test_generate_json_mode_output_parses(vocab):
                                    max_steps=5000)
         parsed = parse_json(out.decode("ascii"))
         assert isinstance(parsed, dict)
+
+
+def _random_policy(vocab, seed: int, quiet_steps: int):
+    """Seeded random scores, nudged toward newlines, ']' and ',' so that
+    documents stay short; end-of-sequence wins at the first accepting state
+    from step ``quiet_steps`` on."""
+    rng = random.Random(seed)
+    nl_bonus = rng.uniform(0.5, 3.0)
+    V = len(vocab)
+    bonus = []
+    for t in range(V):
+        tb = vocab.token_bytes(t)
+        score = -0.2 * len(tb) + {b"]": 1.5, b",": 1.0, b"1": 0.5}.get(tb, 0.0)
+        if 0x0A in tb:
+            score += nl_bonus
+        bonus.append(score)
+
+    def policy(step, state):
+        del state
+        scores = [rng.random() + bonus[t] for t in range(V)]
+        scores.append(8.0 if step >= quiet_steps else -8.0)
+        return scores
+
+    return policy
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), quiet_steps=st.integers(0, 80),
+       case_index=st.sampled_from([None, 0, 1, 2, 3]))
+def test_mask_accepted_documents_parse_and_validate(cases, vocab, seed,
+                                                    quiet_steps, case_index):
+    schema = None if case_index is None else cases[case_index].schema
+    try:
+        out = constrained_generate(_random_policy(vocab, seed, quiet_steps), vocab,
+                                   init_state("toon", schema), max_steps=400)
+    except DeadEndError:
+        assume(False)  # no accepted document to check
+    value = parse_toon(out.decode("ascii")).root
+    if schema is not None:
+        assert validate(value, schema) == [], out
 
 
 def test_generate_policy_arity_checked(vocab):

@@ -132,6 +132,19 @@ def test_efficiency_zero_accuracy_is_zero(tmp_path):
     assert efficiency(data, {"g": ("users",)})["m"]["J"]["g"] == 0.0
 
 
+def test_all_transport_group_is_left_out(tmp_path):
+    """A group whose every cell is all_transport used no tokens: it has no
+    efficiency, and the report shows '-' for it instead of crashing."""
+    rows = [dict(make_row("m", 1, case, "J", False, False, 0), flags="all_transport")
+            for case in ("users", "order")]
+    rows.append(make_row("m", 1, "invoice", "J", True, True, 800))
+    p = write_csv(tmp_path / "r.csv", rows)
+    assert efficiency(load_results(p)) == {"m": {"J": {"non_aligned": 1.25}}}
+    emit_report(p, tmp_path / "out")
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert report[-1].split() == ["m", "J", "-", "1.250"]
+
+
 def test_efficiency_homogeneity(tmp_path):
     base = [make_row("m", i + 1, c, "J", True, True, t)
             for i in range(3)
