@@ -113,7 +113,11 @@ class HttpClient:
                 continue
             if resp.status_code != 200:
                 raise ApiError(resp.status_code, resp.text)
-            return _parse_response(resp.json())
+            try:
+                payload = resp.json()
+            except requests.JSONDecodeError:
+                raise ApiError(200, f"completion body is not JSON: {resp.text}")
+            return _parse_response(payload)
         if isinstance(last_error, ApiError):
             raise last_error
         raise TransportError(f"request failed after {self.retries + 1} attempts: "
@@ -132,8 +136,11 @@ def _parse_response(payload: dict) -> ChatResponse:
         raise ApiError(200, f"completion has no text content (finish_reason={finish!r})")
     usage = payload.get("usage")
     if isinstance(usage, dict) and "prompt_tokens" in usage and "completion_tokens" in usage:
-        return ChatResponse(content, int(usage["prompt_tokens"]),
-                            int(usage["completion_tokens"]), finish)
+        try:
+            tokens = int(usage["prompt_tokens"]), int(usage["completion_tokens"])
+        except (TypeError, ValueError):
+            raise ApiError(200, f"usage token counts are not integers: {usage}")
+        return ChatResponse(content, *tokens, finish)
     return ChatResponse(content, 0, estimate_tokens(content), finish,
                         usage_estimated=True)
 

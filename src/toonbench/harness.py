@@ -9,13 +9,15 @@ stops at the first success or after 1 + max_repairs attempts.
 
 Results are written at case granularity to CSV (deterministically ordered)
 with attempt-level detail in a JSON-lines log; an interrupted run resumes by
-skipping cells already present in the CSV.
+skipping the cells of the whole rows already in the CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -281,14 +283,43 @@ def _validate_config(config: dict) -> dict:
             "template_dir": config.get("template_dir")}
 
 
-def _existing_cells(csv_path: Path) -> set:
-    cells = set()
-    if csv_path.exists():
-        with open(csv_path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                cells.add((row["model"], int(row["run_index"]), row["case"],
-                           row["track"]))
-    return cells
+_INT_COLUMNS = ("run_index", "one_shot_success", "final_success", "attempts",
+                "prompt_tokens", "completion_tokens")
+
+
+def _whole_rows(csv_path: Path) -> List[dict]:
+    """The rows of an earlier, possibly killed, run that are whole.
+
+    A kill can cut the last row anywhere, so a row counts only once its line
+    has ended, and only if every column is present and every count parses.
+    The cells of the other rows run again."""
+    if not csv_path.exists():
+        return []
+    data = csv_path.read_bytes()
+    text = data[:data.rfind(b"\n") + 1].decode("utf-8")
+    rows = []
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        if tuple(row) != CSV_COLUMNS or None in row.values():
+            continue
+        try:
+            for c in _INT_COLUMNS:
+                int(row[c])
+        except ValueError:
+            continue
+        rows.append(row)
+    return rows
+
+
+def _write_rows(csv_path: Path, rows: Sequence[dict]) -> None:
+    """Replace ``csv_path`` by header + ``rows`` in one step: written to a
+    temporary file in the same directory, then renamed over it, so a kill
+    leaves either the old file or the new one."""
+    tmp = csv_path.with_name(csv_path.name + ".tmp")
+    with open(tmp, "w", newline="", encoding="utf-8") as f:
+        w = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        w.writeheader()
+        w.writerows(rows)
+    os.replace(tmp, csv_path)
 
 
 def _csv_row(run_index: int, r: CaseResult) -> dict:
@@ -306,16 +337,16 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
                   client=None) -> List[RunResult]:
     """Execute every model × run × case × track cell, streaming case rows to
     ``out_csv`` as they finish and rewriting the file in deterministic order
-    at the end.  Cells already present in an existing CSV are skipped."""
+    at the end.  Cells with a whole row in an existing CSV are skipped; a
+    malformed row, such as one cut short by a kill, is dropped and its cell
+    runs again."""
     cfg = _validate_config(config)
     if client is None:
         client = make_client(config)
     out_csv = Path(out_csv)
-    done = _existing_cells(out_csv)
-    existing_rows = []
-    if out_csv.exists():
-        with open(out_csv, newline="", encoding="utf-8") as f:
-            existing_rows = list(csv.DictReader(f))
+    existing_rows = _whole_rows(out_csv)
+    done = {(row["model"], int(row["run_index"]), row["case"], row["track"])
+            for row in existing_rows}
 
     cells = [(model, run, case, track)
              for model in cfg["models"]
@@ -329,10 +360,10 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
     attempt_lines: List[str] = []
     results: Dict[Tuple[str, int], List[CaseResult]] = {}
 
+    # Drop the malformed rows before new ones are appended after them.
+    _write_rows(out_csv, existing_rows)
     stream = open(out_csv, "a", newline="", encoding="utf-8")
     writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
-    if not existing_rows:
-        writer.writeheader()
 
     def work(cell):
         model, run, case, track = cell
@@ -368,11 +399,7 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
     all_rows = existing_rows + new_rows
     all_rows.sort(key=lambda r: (r["model"], int(r["run_index"]), r["case"],
                                  r["track"]))
-    with open(out_csv, "w", newline="", encoding="utf-8") as f:
-        w = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        w.writeheader()
-        for row in all_rows:
-            w.writerow(row)
+    _write_rows(out_csv, all_rows)
 
     if attempt_log is not None:
         attempt_lines.sort()

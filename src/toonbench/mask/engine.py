@@ -95,49 +95,46 @@ def is_accepting(state: GrammarState) -> bool:
     return json_machine.accepting(state.machine)
 
 
-class _MaskCache:
-    """Memo of trie walks keyed on (machine state, trie node)."""
+# Masks kept per vocabulary and mode; a full cache drops its oldest mask.
+_MASK_CACHE_SIZE = 1024
 
-    def __init__(self):
-        self.cache: dict = {}
-
-    def walk(self, stepfn, machine, node: TrieNode) -> frozenset:
-        key = (machine, id(node))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        out = set()
-        for b, child in node.children.items():
-            m2 = stepfn(machine, b)
-            if m2 is None:
-                continue
-            out.update(child.token_ids)
-            out.update(self.walk(stepfn, m2, child))
-        result = frozenset(out)
-        self.cache[key] = result
-        return result
-
-
-# vocab -> mode -> _MaskCache.  Held weakly, so a cache dies with its
-# vocabulary and a later vocabulary can never pick up its masks.
+# vocab -> mode -> {machine state: Mask}.  Held weakly, so a cache dies with
+# its vocabulary and a later vocabulary can never pick up its masks.
 _caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cache_for(vocab: Vocabulary, mode: str) -> _MaskCache:
-    by_mode = _caches.get(vocab)
-    if by_mode is None:
-        by_mode = _caches[vocab] = {}
-    c = by_mode.get(mode)
-    if c is None:
-        c = by_mode[mode] = _MaskCache()
-    return c
+def _walk(stepfn, machine, root: TrieNode) -> frozenset:
+    """Ids of every token whose bytes the machine accepts from ``machine``:
+    one depth-first walk of the trie, each child byte stepped once."""
+    allowed: list = []
+    stack = [(machine, root)]
+    while stack:
+        m, node = stack.pop()
+        for b, child in node.children.items():
+            m2 = stepfn(m, b)
+            if m2 is not None:
+                allowed += child.token_ids
+                if child.children:
+                    stack.append((m2, child))
+    # Through a set: frozenset() of a set sizes its table once, for all ids,
+    # while one grown from a list id by id can end up twice as sparse, and
+    # constrained_generate iterates the whole table on every step.
+    return frozenset(set(allowed))
 
 
 def allowed_mask(state: GrammarState, vocab: Vocabulary) -> Mask:
     """Exact mask: bit i is set iff advance(state, i) would succeed."""
-    cache = _cache_for(vocab, state.mode)
-    allowed = cache.walk(_stepper(state.mode), state.machine, vocab.root)
-    return Mask(allowed, is_accepting(state), len(vocab))
+    try:
+        return _caches[vocab][state.mode][state.machine]
+    except KeyError:
+        pass
+    cache = _caches.setdefault(vocab, {}).setdefault(state.mode, {})
+    mask = Mask(_walk(_stepper(state.mode), state.machine, vocab.root),
+                is_accepting(state), len(vocab))
+    if len(cache) >= _MASK_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[state.machine] = mask
+    return mask
 
 
 Policy = Callable[[int, GrammarState], Sequence[float]]

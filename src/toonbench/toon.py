@@ -61,8 +61,9 @@ class ToonDocument:
     arrays: dict = field(default_factory=dict)  # path tuple -> ArrayInfo
 
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_NUM_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
+# ASCII digits only: \d would also match other scripts' digits, such as "١٢".
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+_NUM_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 _BARE_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r", "/": "/"}
@@ -327,7 +328,7 @@ class _ToonParser:
 
     # -- arrays -------------------------------------------------------------
 
-    _COUNT_RE = re.compile(r"\[(0|[1-9]\d*)\]")
+    _COUNT_RE = re.compile(r"\[(0|[1-9][0-9]*)\]")
 
     def parse_array_header(self, ln: _Line, col: int, after: str, keyend: int, path):
         m = self._COUNT_RE.match(after)

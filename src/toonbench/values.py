@@ -70,6 +70,10 @@ class DuplicateKeyError(ValueError):
         self.column = column
 
 
+# RFC 8259 numbers use ASCII digits only (str.isdigit also takes "١" and "²").
+_DIGITS = frozenset("0123456789")
+
+
 class _JsonParser:
     """Recursive-descent RFC 8259 parser with duplicate-key rejection.
 
@@ -132,7 +136,7 @@ class _JsonParser:
         if ch == "n":
             self.parse_literal("null")
             return None
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             return self.parse_number()
         self.fail(f"unexpected character {ch!r}")
 
@@ -244,29 +248,29 @@ class _JsonParser:
         t = self.text
         if self.pos < len(t) and t[self.pos] == "-":
             self.pos += 1
-        if self.pos >= len(t) or not t[self.pos].isdigit():
+        if self.pos >= len(t) or t[self.pos] not in _DIGITS:
             self.fail("invalid number")
         if t[self.pos] == "0":
             self.pos += 1
         else:
-            while self.pos < len(t) and t[self.pos].isdigit():
+            while self.pos < len(t) and t[self.pos] in _DIGITS:
                 self.pos += 1
         is_float = False
         if self.pos < len(t) and t[self.pos] == ".":
             is_float = True
             self.pos += 1
-            if self.pos >= len(t) or not t[self.pos].isdigit():
+            if self.pos >= len(t) or t[self.pos] not in _DIGITS:
                 self.fail("digits required after decimal point")
-            while self.pos < len(t) and t[self.pos].isdigit():
+            while self.pos < len(t) and t[self.pos] in _DIGITS:
                 self.pos += 1
         if self.pos < len(t) and t[self.pos] in "eE":
             is_float = True
             self.pos += 1
             if self.pos < len(t) and t[self.pos] in "+-":
                 self.pos += 1
-            if self.pos >= len(t) or not t[self.pos].isdigit():
+            if self.pos >= len(t) or t[self.pos] not in _DIGITS:
                 self.fail("digits required in exponent")
-            while self.pos < len(t) and t[self.pos].isdigit():
+            while self.pos < len(t) and t[self.pos] in _DIGITS:
                 self.pos += 1
         lexeme = t[start:self.pos]
         if is_float:

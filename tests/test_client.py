@@ -143,6 +143,24 @@ def test_http_null_content_is_api_error(server):
         assert ei.value.status == 200
 
 
+def test_http_non_json_body_is_api_error(server):
+    _Handler.script = [(200, "<html>gateway hiccup</html>")]
+    with pytest.raises(ApiError) as ei:
+        HttpClient(server).complete(REQ)
+    assert ei.value.status == 200
+    assert len(_Handler.seen) == 1
+
+
+@pytest.mark.parametrize("count", ["n/a", None])
+def test_http_non_integer_usage_is_api_error(server, count):
+    payload = _ok_payload()
+    payload["usage"]["prompt_tokens"] = count
+    _Handler.script = [(200, payload)]
+    with pytest.raises(ApiError) as ei:
+        HttpClient(server).complete(REQ)
+    assert ei.value.status == 200
+
+
 def test_http_client_error_raises_api_error(server):
     _Handler.script = [(400, {"error": "bad request"})]
     with pytest.raises(ApiError) as ei:

@@ -11,6 +11,7 @@ from toonbench.harness import (CSV_COLUMNS, ConfigError, GoldOracleClient,
                                MissingCase, compute_run_metrics, run_benchmark,
                                run_case)
 from toonbench.prompts import TRACKS
+from toonbench.report import load_results
 from toonbench.schemas import CASE_NAMES
 from toonbench.toon import encode_toon
 from toonbench.values import emit_canonical_json
@@ -44,6 +45,14 @@ def test_jso_sets_response_format(case_by_name):
     client = ScriptedClient([ScriptedTurn(gold_json(order), 1, 1)])
     run_case(client, "m", order, "J")
     assert client.requests[0].response_format is None
+
+
+def test_superscript_digit_answer_is_a_decode_error(case_by_name):
+    order = case_by_name["order"]
+    client = ScriptedClient([ScriptedTurn('{"a": 2\u00b2}', 1, 1),
+                             ScriptedTurn(gold_json(order), 1, 1)])
+    r = run_case(client, "m", order, "J")
+    assert [a.outcome for a in r.attempts] == ["decode_error", "success"]
 
 
 def test_count_mismatch_repair_cycle(case_by_name):
@@ -264,6 +273,34 @@ def test_benchmark_resume_skips_existing_cells(tmp_path):
     keys = [tuple(r[k] for k in ("model", "run_index", "case", "track"))
             for r in csv.DictReader(open(resumed))]
     assert len(keys) == len(set(keys)) == 120
+
+
+@pytest.mark.parametrize("cut", [1, 20, -1])
+def test_benchmark_resume_reruns_a_row_cut_by_a_kill(tmp_path, cut):
+    full = tmp_path / "full.csv"
+    run_benchmark(MOCK_CFG, full)
+    expected = full.read_text()
+    resumed = tmp_path / "resumed.csv"
+    lines = expected.splitlines(keepends=True)
+    resumed.write_text("".join(lines[:51]) + lines[51][:cut])  # killed mid-row
+    run_benchmark(MOCK_CFG, resumed)
+    assert resumed.read_text() == expected
+    assert len(load_results(resumed)) == 120
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_benchmark_resume_reruns_malformed_rows(tmp_path):
+    full = tmp_path / "full.csv"
+    run_benchmark(MOCK_CFG, full)
+    expected = full.read_text()
+    lines = expected.splitlines(keepends=True)
+    lines[5] = lines[5].replace(",1,1,1,", ",1,x,1,", 1)  # a count that fails to parse
+    del lines[7:9]  # two rows missing
+    lines[9] = lines[9].rstrip("\n") + ",extra\n"  # one column too many
+    resumed = tmp_path / "resumed.csv"
+    resumed.write_text("".join(lines))
+    run_benchmark(MOCK_CFG, resumed)
+    assert resumed.read_text() == expected
 
 
 def test_attempt_log_lines_parse(tmp_path):

@@ -251,6 +251,51 @@ def test_mask_caches_die_with_their_vocabulary():
     assert len(engine._caches) <= before
 
 
+def _force_gold_documents(cases, vocab, monkeypatch, after_mask):
+    """Force the gold documents in toon, toon+schema and json mode, calling
+    ``after_mask(state)`` after each mask ``constrained_generate`` takes."""
+    real = engine.allowed_mask
+
+    def traced(state, v):
+        mask = real(state, v)
+        after_mask(state)
+        return mask
+
+    monkeypatch.setattr(engine, "allowed_mask", traced)
+    for c, toon_text, json_text in gold_texts(cases):
+        for mode, schema, text in (("toon", None, toon_text),
+                                   ("toon", c.schema, toon_text),
+                                   ("json", None, json_text)):
+            target = text.encode()
+            out = constrained_generate(_greedy_gold_policy(target, vocab),
+                                       vocab, init_state(mode, schema))
+            assert out == target, (c.name, mode, schema is not None)
+
+
+def test_mask_cache_holds_one_mask_per_grammar_state(cases, vocab, monkeypatch):
+    fresh = Vocabulary(vocab.tokens)  # a vocabulary with its own, empty cache
+    seen = {"toon": set(), "json": set()}
+    _force_gold_documents(cases, fresh, monkeypatch,
+                          lambda state: seen[state.mode].add(state.machine))
+    cache = engine._caches[fresh]
+    assert {mode: set(masks) for mode, masks in cache.items()} == seen
+    st = init_state("toon", cases[0].schema)
+    assert allowed_mask(st, fresh) is allowed_mask(st, fresh)
+
+
+def test_mask_cache_is_capped(cases, vocab, monkeypatch):
+    monkeypatch.setattr(engine, "_MASK_CACHE_SIZE", 8)
+    fresh = Vocabulary(vocab.tokens)
+    sizes = []
+    _force_gold_documents(cases, fresh, monkeypatch, lambda state: sizes.append(
+        max(len(masks) for masks in engine._caches[fresh].values())))
+    assert max(sizes) == 8
+    st = init_state("toon")  # the first state masked, evicted long since
+    assert st.machine not in engine._caches[fresh]["toon"]
+    assert allowed_mask(st, fresh).allowed == brute_force_mask(st, fresh)
+    assert all(len(masks) <= 8 for masks in engine._caches[fresh].values())
+
+
 # -- constrained generation --------------------------------------------------
 
 

@@ -27,6 +27,13 @@ def test_scalar_leniency():
     assert validate(True, BoolType()) == []
 
 
+def test_numeric_strings_take_ascii_digits_only():
+    assert validate("12", IntType()) == []
+    assert validate("\u0661\u0662", IntType()) != []
+    assert validate("\uff13.5", FloatType()) != []
+    assert validate("1e\u00b2", FloatType()) != []
+
+
 def test_bool_is_not_an_int():
     errs = validate(True, IntType())
     assert len(errs) == 1 and "bool" in str(errs[0])

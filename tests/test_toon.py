@@ -159,6 +159,14 @@ def test_scalar_lexing():
     assert r["g"] == 1000.0 and isinstance(r["g"], float)
 
 
+def test_numerals_take_ascii_digits_only():
+    doc = parse_toon("a: \u0661\u0662\nb: \uff13.5\nc: 1e\u00b2\n")
+    assert doc.root == {"a": "\u0661\u0662", "b": "\uff13.5", "c": "1e\u00b2"}
+    assert _err("a[\uff12]: 1,2\n").kind == "unexpected-token"
+    v = {"a": "\u0661\u0662", "b": "-\uff13"}
+    assert parse_toon(encode_toon(v)).root == v
+
+
 # -- fence extraction --------------------------------------------------------
 
 

@@ -66,6 +66,14 @@ def test_parse_rejects_bad_literals():
             parse_json(bad)
 
 
+def test_parse_numbers_take_ascii_digits_only():
+    # str.isdigit() is also true of other scripts' digits and of superscripts
+    for bad in ('{"a": \u0661\u0662}', '{"a": 2\u00b2}', "\uff13", "1.\uff15",
+                "1e\uff12", "-\u0661"):
+        with pytest.raises(JsonParseError):
+            parse_json(bad)
+
+
 # -- canonical form ----------------------------------------------------------
 
 
