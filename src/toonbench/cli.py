@@ -20,8 +20,8 @@ from .mask import (DeadEndError, advance, allowed_mask, constrained_generate,
 from .report import SchemaError, emit_report
 from .schemas import CASE_NAMES, get_case, validate, write_gold
 from .toon import ToonError, encode_toon, parse_toon
-from .values import (JsonParseError, canonicalize, deep_equal,
-                     emit_canonical_json, format_path, parse_json)
+from .values import (JsonParseError, deep_equal, emit_canonical_json,
+                     format_path, parse_json)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1

@@ -136,10 +136,9 @@ def _parse_response(payload: dict) -> ChatResponse:
         raise ApiError(200, f"completion has no text content (finish_reason={finish!r})")
     usage = payload.get("usage")
     if isinstance(usage, dict) and "prompt_tokens" in usage and "completion_tokens" in usage:
-        try:
-            tokens = int(usage["prompt_tokens"]), int(usage["completion_tokens"])
-        except (TypeError, ValueError):
-            raise ApiError(200, f"usage token counts are not integers: {usage}")
+        tokens = usage["prompt_tokens"], usage["completion_tokens"]
+        if not all(type(t) is int and t >= 0 for t in tokens):
+            raise ApiError(200, f"usage token counts are not non-negative integers: {usage}")
         return ChatResponse(content, *tokens, finish)
     return ChatResponse(content, 0, estimate_tokens(content), finish,
                         usage_estimated=True)

@@ -3,7 +3,7 @@
 Per attempt the pipeline is: render the prompt (or the repair prompt built
 from the latest failed output), call the model, decode (TOON tracks go
 through fence extraction and TOON parsing), validate against the case
-schema, canonicalize, and compare deep-structurally with the gold payload.
+schema, and compare deep-structurally with the gold payload.
 Any failure produces error text that feeds the next repair prompt; a case
 stops at the first success or after 1 + max_repairs attempts.
 
@@ -29,8 +29,8 @@ from .client import (ApiError, ChatRequest, ChatResponse, ScriptedClient,
 from .prompts import TRACKS, render_prompt, render_repair_prompt
 from .schemas import CaseSpec, CASE_NAMES, builtin_cases, validate
 from .toon import ToonError, encode_toon, extract_toon_block, parse_toon
-from .values import (JsonParseError, canonicalize, deep_equal,
-                     emit_canonical_json, format_path, parse_json)
+from .values import (JsonParseError, deep_equal, emit_canonical_json,
+                     format_path, parse_json)
 
 MAX_REPAIRS = 3
 

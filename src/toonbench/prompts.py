@@ -7,12 +7,14 @@ Tracks:
   T    TOON generation — a universal instruction block (rules + one shared
        reference example, identical for every case) followed by the task
 
-Templates are shipped as package resources and can be overridden by pointing
-``template_dir`` at a directory with files of the same names.
+Templates are shipped as package resources, read once per name, and can be
+overridden by pointing ``template_dir`` at a directory with files of the same
+names, which is read on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -25,10 +27,15 @@ TRACKS = ("J", "JSO", "T")
 _TASK_INDENT = " " * 8
 
 
+@lru_cache(maxsize=None)
+def _packaged(name: str) -> str:
+    return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
+
+
 def _load_template(name: str, template_dir: Optional[str] = None) -> str:
     if template_dir is not None:
         return Path(template_dir, name).read_text(encoding="utf-8")
-    return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
+    return _packaged(name)
 
 
 def _check_track(track: str) -> None:

@@ -20,6 +20,7 @@ be ambiguous (commas, colons, edge spaces, literal look-alikes, ...).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -80,7 +81,10 @@ def _lex_bare_scalar(text: str) -> Value:
     if _INT_RE.match(text):
         return int(text)
     if _NUM_RE.match(text):
-        return float(text)
+        f = float(text)
+        if math.isinf(f):
+            raise ValueError("number out of finite float range")
+        return f
     return text
 
 
@@ -556,7 +560,17 @@ class _ToonParser:
 
 def parse_toon(text: str) -> ToonDocument:
     """Parse TOON text (no code fences) into a ToonDocument."""
-    return _ToonParser(text).parse_document()
+    parser = _ToonParser(text)
+    try:
+        return parser.parse_document()
+    except ToonError:
+        raise
+    except ValueError as e:  # a numeral int() or float() cannot hold
+        message = str(e)
+    except RecursionError:
+        message = "nesting too deep"
+    ln = parser.lines[max(parser.idx - 1, 0)]
+    raise ToonError(ln.num, ln.indent + 1, "unexpected-token", message) from None
 
 
 _FENCE_RE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)

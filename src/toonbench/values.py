@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+import re
+from dataclasses import dataclass
+from typing import Optional, Union
 
 Value = Union[None, bool, int, float, str, dict, list]
 
@@ -70,215 +71,86 @@ class DuplicateKeyError(ValueError):
         self.column = column
 
 
-# RFC 8259 numbers use ASCII digits only (str.isdigit also takes "١" and "²").
-_DIGITS = frozenset("0123456789")
+def _unique_pairs(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
 
 
-class _JsonParser:
-    """Recursive-descent RFC 8259 parser with duplicate-key rejection.
+def _refuse_constant(name):
+    raise ValueError(f"non-finite constant {name}")
 
-    Hand-rolled instead of :mod:`json` so that duplicate keys carry a full
-    path and errors carry 1-based line/column positions.
-    """
 
-    WS = " \t\n\r"
+def _finite_float(lexeme):
+    f = float(lexeme)
+    if math.isinf(f):
+        raise ValueError("number out of finite float range")
+    return f
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def _line_col(self, pos: int):
-        line = self.text.count("\n", 0, pos) + 1
-        nl = self.text.rfind("\n", 0, pos)
-        col = pos - nl
-        return line, col
+# The fast path: json plus hooks that refuse what it accepts and a Value must
+# not hold.  _TOKEN is one token of RFC 8259 or a NaN/Infinity json accepts.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_pairs,
+                            parse_constant=_refuse_constant,
+                            parse_float=_finite_float)
+_TOKEN = re.compile(r"""[ \t\n\r]*(?:
+    (?P<string>"[^"\\]*(?:\\.[^"\\]*)*") | -?(?P<constant>NaN|Infinity)
+  | (?P<number>-?(?:0|[1-9][0-9]*)(?P<float>(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))
+  | (?P<open>[{\[]) | (?P<close>[\]}]) | (?P<comma>,) | : | true | false | null)""",
+                    re.VERBOSE | re.DOTALL)
 
-    def fail(self, message: str, pos: Optional[int] = None):
-        line, col = self._line_col(self.pos if pos is None else pos)
-        raise JsonParseError(line, col, message)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in self.WS:
-            self.pos += 1
+def _line_col(text: str, pos: int):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def peek(self) -> str:
-        if self.pos >= len(self.text):
-            self.fail("unexpected end of input")
-        return self.text[self.pos]
 
-    def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+def _first_refusal(text: str, end: int):
+    """Scan the tokens that end by ``end``, a prefix json has decoded, for
+    the first duplicate key, non-finite constant or overflowing number.
 
-    def parse(self) -> Value:
-        self.skip_ws()
-        v = self.parse_value(())
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("trailing data after document")
-        return v
-
-    def parse_value(self, path) -> Value:
-        ch = self.peek()
-        if ch == "{":
-            return self.parse_object(path)
-        if ch == "[":
-            return self.parse_array(path)
-        if ch == '"':
-            return self.parse_string()
-        if ch == "t":
-            self.parse_literal("true")
-            return True
-        if ch == "f":
-            self.parse_literal("false")
-            return False
-        if ch == "n":
-            self.parse_literal("null")
-            return None
-        if ch == "-" or ch in _DIGITS:
-            return self.parse_number()
-        self.fail(f"unexpected character {ch!r}")
-
-    def parse_literal(self, lit: str):
-        if not self.text.startswith(lit, self.pos):
-            self.fail(f"expected {lit!r}")
-        self.pos += len(lit)
-
-    def parse_object(self, path) -> dict:
-        self.expect("{")
-        obj: dict = {}
-        self.skip_ws()
-        if self.peek() == "}":
-            self.pos += 1
-            return obj
-        while True:
-            self.skip_ws()
-            key_pos = self.pos
-            if self.peek() != '"':
-                self.fail("expected string key")
-            key = self.parse_string()
-            if key in obj:
-                line, col = self._line_col(key_pos)
-                raise DuplicateKeyError(path, key, line, col)
-            self.skip_ws()
-            self.expect(":")
-            self.skip_ws()
-            obj[key] = self.parse_value(path + (key,))
-            self.skip_ws()
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "}":
-                self.pos += 1
-                return obj
-            self.fail("expected ',' or '}' in object")
-
-    def parse_array(self, path) -> list:
-        self.expect("[")
-        arr: list = []
-        self.skip_ws()
-        if self.peek() == "]":
-            self.pos += 1
-            return arr
-        while True:
-            self.skip_ws()
-            arr.append(self.parse_value(path + (len(arr),)))
-            self.skip_ws()
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "]":
-                self.pos += 1
-                return arr
-            self.fail("expected ',' or ']' in array")
-
-    _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
-                "n": "\n", "r": "\r", "t": "\t"}
-
-    def parse_string(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(self.text):
-                    self.fail("unterminated escape")
-                esc = self.text[self.pos]
-                if esc in self._ESCAPES:
-                    out.append(self._ESCAPES[esc])
-                    self.pos += 1
-                elif esc == "u":
-                    hexs = self.text[self.pos + 1:self.pos + 5]
-                    if len(hexs) != 4:
-                        self.fail("truncated \\u escape")
-                    try:
-                        cp = int(hexs, 16)
-                    except ValueError:
-                        self.fail("invalid \\u escape")
-                    self.pos += 5
-                    if 0xD800 <= cp <= 0xDBFF and self.text.startswith("\\u", self.pos):
-                        lows = self.text[self.pos + 2:self.pos + 6]
-                        try:
-                            low = int(lows, 16)
-                        except ValueError:
-                            low = -1
-                        if 0xDC00 <= low <= 0xDFFF:
-                            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00)
-                            self.pos += 6
-                    out.append(chr(cp))
-                else:
-                    self.fail(f"invalid escape \\{esc}")
-            elif ord(ch) < 0x20:
-                self.fail("raw control character in string")
-            else:
-                out.append(ch)
-                self.pos += 1
-
-    def parse_number(self) -> Union[int, float]:
-        start = self.pos
-        t = self.text
-        if self.pos < len(t) and t[self.pos] == "-":
-            self.pos += 1
-        if self.pos >= len(t) or t[self.pos] not in _DIGITS:
-            self.fail("invalid number")
-        if t[self.pos] == "0":
-            self.pos += 1
-        else:
-            while self.pos < len(t) and t[self.pos] in _DIGITS:
-                self.pos += 1
-        is_float = False
-        if self.pos < len(t) and t[self.pos] == ".":
-            is_float = True
-            self.pos += 1
-            if self.pos >= len(t) or t[self.pos] not in _DIGITS:
-                self.fail("digits required after decimal point")
-            while self.pos < len(t) and t[self.pos] in _DIGITS:
-                self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
-            is_float = True
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos >= len(t) or t[self.pos] not in _DIGITS:
-                self.fail("digits required in exponent")
-            while self.pos < len(t) and t[self.pos] in _DIGITS:
-                self.pos += 1
-        lexeme = t[start:self.pos]
-        if is_float:
-            f = float(lexeme)
-            if not math.isfinite(f):
-                self.fail("number out of finite float range", start)
-            return f
-        return int(lexeme)
+    Returns ``(error or None, start of the first container opened at the
+    deepest nesting seen)``.  The scan also stops at text json rejects."""
+    keys = []  # per open container: the keys of an object, None for an array
+    path = []  # per open container: the key or index of the current child
+    prev, deepest, deepest_at, pos = None, 0, 0, 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        if m is None or m.end() > end:
+            return None, deepest_at
+        pos, kind = m.end(), m.lastgroup
+        if kind == "open":
+            keys.append(set() if m.group(kind) == "{" else None)
+            path.append(0)
+            if len(keys) > deepest:
+                deepest, deepest_at = len(keys), m.start(kind)
+        elif kind in ("close", "comma") and not keys:
+            return None, deepest_at
+        elif kind == "close":
+            keys.pop()
+            path.pop()
+        elif kind == "comma":
+            if keys[-1] is None:
+                path[-1] += 1
+        elif kind == "string" and prev in ("open", "comma") and keys[-1] is not None:
+            try:
+                key = json.decoder.scanstring(m.group(kind), 1)[0]
+            except ValueError:
+                return None, deepest_at
+            if key in keys[-1]:
+                line, column = _line_col(text, m.start(kind))
+                return DuplicateKeyError(path[:-1], key, line, column), deepest_at
+            keys[-1].add(key)
+            path[-1] = key
+        elif kind == "constant":
+            return JsonParseError(*_line_col(text, m.start(kind)),
+                                  f"non-finite constant {m.group(kind)}"), deepest_at
+        elif kind == "number":
+            try:
+                (_finite_float if m.group("float") else int)(m.group(kind))
+            except ValueError as e:
+                return JsonParseError(*_line_col(text, m.start(kind)), str(e)), deepest_at
+        prev = kind
 
 
 def parse_json(text: str) -> Value:
@@ -286,9 +158,24 @@ def parse_json(text: str) -> Value:
 
     Exponent-free, fraction-free numerals parse as ``int``; anything else
     numeric parses as ``float``.  Duplicate object keys raise
-    :class:`DuplicateKeyError`.
+    :class:`DuplicateKeyError`; any other malformed input, including
+    NaN/Infinity, numbers that overflow and nesting deeper than the decoder
+    recurses, raises :class:`JsonParseError`.  Errors carry the 1-based line
+    and column of the first problem in document order.
     """
-    return _JsonParser(text).parse()
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as e:
+        error = (_first_refusal(text, e.pos)[0]
+                 or JsonParseError(e.lineno, e.colno, e.msg))
+    except RecursionError:
+        error, deepest_at = _first_refusal(text, len(text))
+        error = error or JsonParseError(*_line_col(text, deepest_at), "nesting too deep")
+    except ValueError:  # a hook refused, or int() met too many digits
+        error = _first_refusal(text, len(text))[0]
+        if error is None:
+            raise
+    raise error from None
 
 
 def check_value(v: Value, _path=()):
@@ -319,71 +206,90 @@ def emit_canonical_json(v: Value) -> str:
                       ensure_ascii=False, allow_nan=False)
 
 
-def canonicalize(v: Value) -> Value:
-    """Recursively sort object keys and fold zero-fraction floats to ints."""
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
+
+
+def _kind(v: Value) -> str:
+    """What deep_equal compares by; raises ValueError on a non-finite float
+    or an unsupported type."""
+    if isinstance(v, str):
+        return "string"
+    if isinstance(v, bool):
+        return "bool"
+    if isinstance(v, int):
+        return "number"
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError("non-finite float")
-        if v.is_integer():
-            return int(v)
-        return v
+        return "number"
+    if v is None:
+        return "null"
     if isinstance(v, dict):
-        return {k: canonicalize(v[k]) for k in sorted(v)}
+        return "object"
     if isinstance(v, list):
-        return [canonicalize(x) for x in v]
+        return "array"
     raise ValueError(f"unsupported value type {type(v).__name__}")
 
 
-def _scalar_kind(v: Value) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, (int, float)):
-        return "number"
-    if isinstance(v, str):
-        return "string"
-    if isinstance(v, dict):
-        return "object"
-    return "array"
+def canonicalize(v: Value) -> Value:
+    """Recursively sort object keys and fold zero-fraction floats to ints."""
+    kind = _kind(v)
+    if kind == "object":
+        return {k: canonicalize(v[k]) for k in sorted(v)}
+    if kind == "array":
+        return [canonicalize(x) for x in v]
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return v
 
 
-def _first_diff(a: Value, b: Value, path) -> Optional[DiffPath]:
-    ka, kb = _scalar_kind(a), _scalar_kind(b)
-    if ka != kb:
-        return DiffPath(tuple(path), "type-mismatch")
-    if ka == "object":
-        akeys, bkeys = set(a), set(b)
-        for k in sorted(akeys | bkeys):
+def _check(*vs) -> None:
+    """Raise ValueError where canonicalize would."""
+    for v in vs:
+        kind = _kind(v)
+        if kind == "object":
+            _check(*v.values())
+        elif kind == "array":
+            _check(*v)
+
+
+def _first_diff(a: Value, b: Value, path: tuple) -> Optional[DiffPath]:
+    """The first difference in depth-first key-sorted order.  The walk goes
+    on past it, so that every node of both inputs is checked once."""
+    kind = _kind(a)
+    if kind != _kind(b):
+        _check(a, b)
+        return DiffPath(path, "type-mismatch")
+    diff = None
+    if kind == "object":
+        for k in sorted(a.keys() | b.keys()):
             if k not in b:
-                return DiffPath(tuple(path) + (k,), "missing-key")
-            if k not in a:
-                return DiffPath(tuple(path) + (k,), "extra-key")
-            d = _first_diff(a[k], b[k], path + [k])
-            if d is not None:
-                return d
-        return None
-    if ka == "array":
+                _check(a[k])
+                d = DiffPath(path + (k,), "missing-key")
+            elif k not in a:
+                _check(b[k])
+                d = DiffPath(path + (k,), "extra-key")
+            else:
+                d = _first_diff(a[k], b[k], path + (k,))
+            diff = diff or d
+    elif kind == "array":
         if len(a) != len(b):
-            return DiffPath(tuple(path), "length-mismatch")
+            _check(a, b)
+            return DiffPath(path, "length-mismatch")
         for i, (x, y) in enumerate(zip(a, b)):
-            d = _first_diff(x, y, path + [i])
-            if d is not None:
-                return d
-        return None
-    if a != b:
-        return DiffPath(tuple(path), "value-mismatch")
-    return None
+            d = _first_diff(x, y, path + (i,))
+            diff = diff or d
+    elif a != b:
+        diff = DiffPath(path, "value-mismatch")
+    return diff
 
 
 def deep_equal(a: Value, b: Value):
-    """Structural equality on canonicalized values.
+    """Structural equality, as if on canonicalized values.
 
     Returns ``(True, None)`` or ``(False, DiffPath)`` for the first
     difference in depth-first key-sorted order.  ``2`` and ``2.0`` compare
-    equal; ``True`` and ``1`` do not.
+    equal; ``True`` and ``1`` do not.  Raises ValueError where
+    :func:`canonicalize` would, on either input, without copying them.
     """
-    d = _first_diff(canonicalize(a), canonicalize(b), [])
+    d = _first_diff(a, b, ())
     return (d is None, d)

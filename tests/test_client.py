@@ -151,8 +151,9 @@ def test_http_non_json_body_is_api_error(server):
     assert len(_Handler.seen) == 1
 
 
-@pytest.mark.parametrize("count", ["n/a", None])
+@pytest.mark.parametrize("count", ["n/a", None, -5, True, 12.9])
 def test_http_non_integer_usage_is_api_error(server, count):
+    # negative, boolean and fractional counts would reach the CSV as token totals
     payload = _ok_payload()
     payload["usage"]["prompt_tokens"] = count
     _Handler.script = [(200, payload)]

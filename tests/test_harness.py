@@ -103,6 +103,25 @@ def test_fenced_json_answers_are_tolerated(case_by_name):
     assert run_case(client, "m", order, "J").one_shot_success
 
 
+# Answers past Python's own limits: the recursion limit, int()'s 4300-digit
+# limit and the float range.  Each used to escape run_case and end the run.
+@pytest.mark.parametrize("track, answer", [
+    ("J", lambda gold: "[" * 3000),
+    ("T", lambda gold: "```toon\n" + "\n".join("  " * i + "a:" for i in range(1500))
+     + " 1\n```"),
+    ("J", lambda gold: '{"id": ' + "1" * 5000 + "}"),
+    ("T", lambda gold: "```toon\n" + encode_toon(gold).replace("101", "1" * 5000) + "```"),
+    ("T", lambda gold: "```toon\n" + encode_toon(gold).replace("9.99", "1e999") + "```"),
+], ids=["json-deep", "toon-deep", "json-long-int", "toon-long-int", "toon-float-overflow"])
+def test_answers_past_python_limits_are_decode_errors(case_by_name, track, answer):
+    order = case_by_name["order"]
+    good = gold_toon_fenced(order) if track == "T" else gold_json(order)
+    client = ScriptedClient([ScriptedTurn(answer(order.gold), 1, 1),
+                             ScriptedTurn(good, 1, 1)])
+    r = run_case(client, "m", order, track)
+    assert [a.outcome for a in r.attempts] == ["decode_error", "success"]
+
+
 def test_transport_failure_consumes_attempt(case_by_name):
     order = case_by_name["order"]
 

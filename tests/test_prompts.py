@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from toonbench import prompts
 from toonbench.prompts import TRACKS, render_prompt, render_repair_prompt
 from toonbench.toon import parse_toon
 
@@ -96,3 +97,24 @@ def test_template_dir_override(tmp_path, case_by_name):
     r = render_repair_prompt(order, "J", "prev", "err",
                              template_dir=str(tmp_path))
     assert r.endswith("|prev|err|JSON\n")
+
+
+def test_packaged_templates_are_read_once(monkeypatch, case_by_name):
+    order = case_by_name["order"]
+    render_repair_prompt(order, "T", "prev", "err")  # uses both templates
+    files = prompts.resources.files
+    reads = []
+    monkeypatch.setattr(prompts.resources, "files",
+                        lambda package: reads.append(package) or files(package))
+    for _ in range(3):
+        render_prompt(order, "T")
+        render_repair_prompt(order, "T", "prev", "err")
+    assert reads == []
+
+
+def test_template_dir_is_read_on_every_call(tmp_path, case_by_name):
+    order = case_by_name["order"]
+    render_prompt(order, "T")  # the packaged template, now cached
+    for rules in ("FIRST RULES", "SECOND RULES"):
+        (tmp_path / "toon_prompt.txt").write_text(rules + "\nTASK:\n$task\n")
+        assert render_prompt(order, "T", str(tmp_path)).startswith(rules)

@@ -1,9 +1,12 @@
 """JSON parsing, canonicalization, and deep structural comparison."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_document
 from toonbench.values import (DiffPath, DuplicateKeyError, JsonParseError,
                               canonicalize, check_value, deep_equal,
                               emit_canonical_json, format_path, parse_json)
@@ -72,6 +75,64 @@ def test_parse_numbers_take_ascii_digits_only():
                 "1e\uff12", "-\u0661"):
         with pytest.raises(JsonParseError):
             parse_json(bad)
+
+
+# Malformed documents: (text, exception type, line, column).  Syntax errors
+# carry the positions json reports; four rows moved from the hand-rolled
+# parser's, which pointed past the offending character (old column in the
+# comment), and the 5000-digit and 3000-deep rows used to escape as a bare
+# ValueError and a RecursionError.  Duplicate keys, non-finite constants and
+# overflowing numbers keep their positions, and the first problem in
+# document order wins.
+MALFORMED = [
+    ("", JsonParseError, 1, 1),
+    ("   ", JsonParseError, 1, 4),
+    ("tru", JsonParseError, 1, 1),
+    ("-", JsonParseError, 1, 1),  # was 2
+    ("1.", JsonParseError, 1, 2),  # was 3
+    ('{"key": "abc', JsonParseError, 1, 9),  # was 13: unterminated string
+    ('"a\\qb"', JsonParseError, 1, 3),  # was 4: bad escape
+    ('"\\u12G4"', JsonParseError, 1, 3),
+    ("{} {}", JsonParseError, 1, 4),
+    ('{"a" 1}', JsonParseError, 1, 6),
+    ('{"a": 1,}', JsonParseError, 1, 9),
+    ("[1 2]", JsonParseError, 1, 4),
+    ('{\n  "a": 1,\n  "b": tru\n}', JsonParseError, 3, 8),
+    ("[\n1,\n2,\n]", JsonParseError, 4, 1),
+    ('{"a": NaN}', JsonParseError, 1, 7),
+    ("[-Infinity]", JsonParseError, 1, 3),
+    ("[1e999]", JsonParseError, 1, 2),
+    ("[1, 1e999, }", JsonParseError, 1, 5),
+    ("[" + "9" * 5000 + "]", JsonParseError, 1, 2),
+    ("[" * 3000, JsonParseError, 1, 3000),
+    ('{"a": 1, "a": 2', DuplicateKeyError, 1, 10),
+    ('{"a": 1, "a": 2, }', DuplicateKeyError, 1, 10),
+    ('{"d": 1, "d": [NaN]}', DuplicateKeyError, 1, 10),
+    ('[{"k": 1}, {"k": 1,\n "k": 2}]', DuplicateKeyError, 2, 2),
+]
+
+
+@pytest.mark.parametrize("text, error, line, column", MALFORMED,
+                         ids=[text[:16] for text, *_ in MALFORMED])
+def test_malformed_positions(text, error, line, column):
+    with pytest.raises(error) as ei:
+        parse_json(text)
+    assert type(ei.value) is error
+    assert (ei.value.line, ei.value.column) == (line, column)
+
+
+def test_duplicate_key_path_inside_arrays():
+    with pytest.raises(DuplicateKeyError) as ei:
+        parse_json('{"a": [1, {"b": 1, "\\u0062": 2}], "a": 3}')
+    assert (ei.value.segments, ei.value.key) == (("a", 1), "b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonical_json_round_trip_keeps_types(seed):
+    v = random_document(random.Random(seed))
+    # repr tells 1 from 1.0 and True, and shows key order
+    assert repr(parse_json(emit_canonical_json(v))) == repr(v)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -150,6 +211,17 @@ def test_diff_inside_list():
                           {"a": [{"k": 1}, {"k": 3}]})
     assert not ok and diff.segments == ("a", 1, "k")
     assert format_path(diff.segments) == "$.a[1].k"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1, 2)])
+def test_deep_equal_rejects_what_canonicalize_rejects(bad):
+    # wherever the bad value sits, also past the first difference
+    for a, b in (({"a": bad}, {"a": bad}), ({"a": 1}, {"a": bad}),
+                 ({"a": 1, "z": [bad]}, {"a": 2, "z": [1]}),
+                 ({"a": [1, 2]}, {"a": [1], "b": {"c": bad}}), (bad, "x")):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                deep_equal(x, y)
 
 
 def test_format_path_root():
