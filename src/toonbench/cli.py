@@ -17,6 +17,7 @@ from pathlib import Path
 from .harness import ConfigError, load_config, run_benchmark
 from .mask import (DeadEndError, advance, allowed_mask, constrained_generate,
                    init_state, load_vocabulary, UnsupportedSchemaError)
+from .mask.engine import cache_stats
 from .report import SchemaError, emit_report
 from .schemas import CASE_NAMES, get_case, validate, write_gold
 from .toon import ToonError, encode_toon, parse_toon
@@ -153,7 +154,7 @@ def _cmd_mask_sim(args) -> int:
 
     def policy(i, st):
         mask = allowed_mask(st, vocab)
-        steps.append(f"step {i}: {len(mask.allowed)} legal tokens, "
+        steps.append(f"step {i}: {len(mask.ids)} legal tokens, "
                      f"accepting={mask.accepting}")
         scores = [rng.random() + bonus[t] for t in range(V)]
         scores.append(8.0)
@@ -163,6 +164,12 @@ def _cmd_mask_sim(args) -> int:
     _write_out(out.decode("ascii"), args.output)
     for line in steps:
         print(line, file=sys.stderr)
+    if args.stats:
+        stats = cache_stats(vocab)
+        print(f"mask cache: {len(steps) - stats['misses']} hits, "
+              f"{stats['misses']} misses ({stats['miss_us_mean']:.0f} us per miss), "
+              f"{stats['entries']} entries, {stats['closures']} closures built",
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -217,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-steps", type=int, default=5000)
     sim.add_argument("-o", "--output", default=None)
+    sim.add_argument("--stats", action="store_true",
+                     help="print mask cache hits, misses, time per miss and size")
     sim.set_defaults(fn=_cmd_mask_sim)
 
     return p

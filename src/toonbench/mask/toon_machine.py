@@ -27,6 +27,8 @@ tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.
 
 from __future__ import annotations
 
+import math
+
 from ..schemas import ArrayType, BoolType, FloatType, IntType, ObjectType, StrType
 
 MAX_DEPTH = 16
@@ -43,6 +45,11 @@ _DIGITS = b"0123456789"
 _KEY_START = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" + _DIGITS + b"_")
 _KEY_CHARS = _KEY_START | frozenset(b".-")
 _HEX = frozenset(_DIGITS + b"abcdefABCDEF")
+# Byte classes of the run declarations (see ``run``).
+_PRINTABLE = frozenset(range(0x20, 0x7F))
+_TEXT = _PRINTABLE - frozenset(b'"\\')  # quoted text, no escape pending
+_CELL = _PRINTABLE - frozenset(b",")  # bare cell text
+_ITEM = _PRINTABLE - frozenset(b":[")  # a list item's bare first token
 # Escapes after a backslash, and the character each stands for in a key.
 _UNESCAPE = {0x22: '"', 0x5C: "\\", 0x2F: "/", 0x6E: "\n", 0x74: "\t", 0x72: "\r"}
 
@@ -151,6 +158,26 @@ def accepting(state) -> bool:
     return s2 is not None and counters_clear(s2)
 
 
+def run(state):
+    """``(byte_class, budget)`` such that every string of at most ``budget``
+    bytes from ``byte_class`` is accepted from ``state``, or None.  Key text
+    stops one short of MAX_KEY, where a taken key is refused."""
+    line = state[2]
+    tag = line[0]
+    if tag == "q":
+        if line[3]:
+            return None
+        chars = line[2]
+        return (_TEXT, math.inf if chars is None else MAX_KEY - 1 - len(chars))
+    if tag == "key":
+        return (_KEY_CHARS, MAX_KEY - 1 - len(line[2]))
+    if tag == "bval" or tag == "sb":
+        return (_PRINTABLE if line[-1] is None else _CELL, math.inf)
+    if tag == "ib":
+        return (_ITEM, MAX_KEY - len(line[1]))
+    return None
+
+
 def _push(stack, frame):
     if len(stack) >= MAX_DEPTH:
         return None
@@ -223,31 +250,51 @@ def _dispatch(stack, b):
     return _begin_value(stack, frame[3][0], 0, b)
 
 
+def _key_taken(stack, cont, key) -> bool:
+    """Whether ``key``, closed into ``cont``, repeats a key of the top object
+    (``keyend``) or a name of the tabular header being read (``hqe``).  A
+    list item's first key (``iqe``) opens an object of its own."""
+    tag = cont[0]
+    if tag == "keyend":
+        return key in stack[-1][2]
+    return tag == "hqe" and key in cont[2]
+
+
+def _key_fits(stack, cont, chars) -> bool:
+    """Whether ``chars`` may be the text of a key being read: at most MAX_KEY
+    characters, and not taken at MAX_KEY, where no byte could end it."""
+    return len(chars) < MAX_KEY or (len(chars) == MAX_KEY
+                                    and not _key_taken(stack, cont, chars))
+
+
 def _quoted(stack, line, b):
     """Inside a quoted string.  ``chars`` is the text so far for a key, kept
     (at most MAX_KEY characters, no ``\\u`` escapes), or None for a value or
     cell, dropped (``\\u`` plus 4 hex digits allowed).  ``esc`` is 0 in plain
     text, 1 after a backslash, and -k while k hex digits of a ``\\u`` escape
-    remain.  The closing quote enters ``cont``, with a key's text
-    appended."""
+    remain.  The closing quote enters ``cont``, with a key's text appended;
+    it is refused for a key that is taken, and a backslash for a key that
+    has no room left."""
     _, cont, chars, esc = line
     if esc == 0:
-        if b == 0x22:
-            return (True, stack, cont if chars is None else cont + (chars,))
-        if b == 0x5C:
-            return (True, stack, ("q", cont, chars, 1))
         if b == NL:
             return None
         if chars is None:
-            return (True, stack, line)
-        return (True, stack, ("q", cont, chars + chr(b), 0)) if len(chars) < MAX_KEY else None
+            if b == 0x22:
+                return (True, stack, cont)
+            return (True, stack, ("q", cont, None, 1) if b == 0x5C else line)
+        if b == 0x22:
+            return None if _key_taken(stack, cont, chars) else (True, stack, cont + (chars,))
+        if b == 0x5C:
+            return (True, stack, ("q", cont, chars, 1)) if len(chars) < MAX_KEY else None
+        chars += chr(b)
+        return (True, stack, ("q", cont, chars, 0)) if _key_fits(stack, cont, chars) else None
     if esc == 1:
         if b in _UNESCAPE:
             if chars is None:
                 return (True, stack, ("q", cont, None, 0))
-            if len(chars) >= MAX_KEY:
-                return None
-            return (True, stack, ("q", cont, chars + _UNESCAPE[b], 0))
+            chars += _UNESCAPE[b]
+            return (True, stack, ("q", cont, chars, 0)) if _key_fits(stack, cont, chars) else None
         if b == 0x75 and chars is None:
             return (True, stack, ("q", cont, None, -4))
         return None
@@ -262,7 +309,8 @@ def _bare_key(stack, line, b):
     the continuation ``cont``, with the key appended."""
     _, cont, chars = line
     if b in _KEY_CHARS:
-        return (True, stack, ("key", cont, chars + chr(b))) if len(chars) < MAX_KEY else None
+        chars += chr(b)
+        return (True, stack, ("key", cont, chars)) if _key_fits(stack, cont, chars) else None
     return _HANDLERS[cont[0]](stack, cont + (chars,), b)
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import re
 
 import pytest
 
@@ -182,3 +184,17 @@ def test_mask_sim_deterministic(tmp_path, capsys):
     assert main(["mask-sim", "--case", "users", "--seed", "11",
                  "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_mask_sim_stats(capsys):
+    assert main(["mask-sim", "--seed", "3", "--stats", "-o", os.devnull]) == 0
+    err = capsys.readouterr().err
+    steps = err.count("legal tokens")
+    m = re.search(r"mask cache: (\d+) hits, (\d+) misses \((\d+) us per miss\), "
+                  r"(\d+) entries, (\d+) closures built", err)
+    assert m is not None, err
+    hits, misses, _, entries, closures = map(int, m.groups())
+    assert hits + misses == steps and misses == entries > 0
+    assert closures >= 1
+    assert main(["mask-sim", "--seed", "3"]) == 0
+    assert "mask cache" not in capsys.readouterr().err

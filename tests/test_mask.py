@@ -3,8 +3,10 @@
 import gc
 import itertools
 import random
+import sys
 
 import pytest
+from conftest import random_document
 from hypothesis import assume, given, settings, strategies as st
 
 import toonbench.mask.engine as engine
@@ -18,7 +20,8 @@ from toonbench.mask.engine import advance_bytes, step_byte
 from toonbench.schemas import (ArrayType, IntType, ObjectType, StrType,
                                validate)
 from toonbench.toon import _NUM_RE, encode_toon, parse_toon
-from toonbench.values import JsonParseError, emit_canonical_json, parse_json
+from toonbench.values import (DuplicateKeyError, JsonParseError, emit_canonical_json,
+                              parse_json)
 
 
 def gold_texts(cases):
@@ -141,6 +144,78 @@ def test_json_mode_checks_well_formedness():
     assert not is_accepting(advance_bytes(init_state("json"), b'{"a": {'))
 
 
+def _legal_bytes(state) -> set:
+    return {b for b in range(256) if step_byte(state, b) is not None}
+
+
+def test_toon_duplicate_quoted_key_refused_at_its_closing_quote():
+    # taking the closing quote would leave ('keyend', '0'), with no legal
+    # byte: ':' and '[' both refuse a repeated key
+    st = advance_bytes(init_state("toon"), b'"0": 1\n"0')
+    assert step_byte(st, ord('"')) is None
+    assert step_byte(st, ord("1")) is not None  # "01" is still free
+    # the same for a quoted tabular header name that repeats an earlier one
+    st = advance_bytes(init_state("toon"), b'a[1]{x,"x')
+    assert step_byte(st, ord('"')) is None
+    assert step_byte(st, ord("y")) is not None
+
+
+def test_toon_backslash_refused_in_a_full_quoted_key():
+    # with MAX_KEY characters read, no escape fits any more
+    st = advance_bytes(init_state("toon"), b'"' + b"a" * toon_machine.MAX_KEY)
+    assert _legal_bytes(st) == {ord('"')}
+    st = advance_bytes(init_state("toon"), b'"' + b"a" * (toon_machine.MAX_KEY - 1))
+    assert is_accepting(advance_bytes(st, b'\\n": 1\n'))
+
+
+def test_json_unicode_escape_counts_toward_the_key_length():
+    key = b"a" * json_machine.MAX_KEY
+    with pytest.raises(RejectError):
+        advance_bytes(init_state("json"), b'{"' + key + b'\\u0041\\u0042')
+    st = advance_bytes(init_state("json"), b'{"' + key)
+    assert _legal_bytes(st) == {ord('"')}
+    ok = advance_bytes(init_state("json"), b'{"' + key[1:] + b'\\u0041": 1}')
+    assert is_accepting(ok)
+
+
+@pytest.mark.parametrize("doc, unique", [
+    (b'{"\\u0041": 1, "\\u0042": 2}', True),
+    (b'{"n": 1, "\\n": 2}', True),
+    (b'{"?": 1, "\\u003F": 2}', False),
+    (b'{"A": 1, "\\u0041": 2}', False),
+    (b'{"/": 1, "\\/": 2}', False),
+])
+def test_json_key_escapes_are_decoded_for_the_duplicate_check(doc, unique):
+    """The automaton refuses a key exactly when the parser reads it as a
+    repeat."""
+    try:
+        parse_json(doc.decode())
+        parses = True
+    except DuplicateKeyError:
+        parses = False
+    assert parses == unique
+    try:
+        accepted = is_accepting(advance_bytes(init_state("json"), doc))
+    except RejectError:
+        accepted = False
+    assert accepted == unique
+
+
+@pytest.mark.parametrize("mode, prefix", [
+    ("toon", b"{k}: 1\n{p}"),
+    ("toon", b'"{k}": 1\n"{p}'),
+    ("toon", b"a[1]{{{k},{p}"),
+    ("json", b'{{"{k}": 1, "{p}'),
+])
+def test_a_full_length_key_that_is_taken_is_refused_at_its_last_byte(mode, prefix):
+    """At MAX_KEY characters a key can neither grow nor end if it is taken,
+    so the byte that would make it so is refused."""
+    key = "k" * toon_machine.MAX_KEY
+    st = advance_bytes(init_state(mode), prefix.decode().format(k=key, p=key[:-1]).encode())
+    assert step_byte(st, ord("k")) is None
+    assert step_byte(st, ord("j")) is not None
+
+
 def _numeral_dfa_accepts(machine, data: bytes) -> bool:
     st = ""
     for b in data:
@@ -235,6 +310,121 @@ def test_tokenization_independence(cases, vocab):
             assert tok_state == states[pos]
 
 
+def _long_key_documents():
+    """Key-text states at the bound: full-length keys (bare, quoted with an
+    escape, tabular header names), each followed by a sibling that shares all
+    but its last character, and a list item's bare token as long as a key."""
+    n = toon_machine.MAX_KEY
+    full, near = "k" * n, "k" * (n - 1) + "j"
+    quoted = 'q "' + "q" * (n - 3)
+    row = {full: 1, near: 2}
+    return [{full: 1, near: {quoted: "v", quoted[:-1] + "j": 2}},
+            {"a" * 50: [{"b" * (n - 3): 1, "c": 2}], "a" * (n - 5) + "\\": "t"},
+            {"rows": [row, row], "items": ["i" * n, {"a": 1}]}]
+
+
+def _reached_states(cases, docs):
+    """Every state reached along the gold documents and ``docs``, byte by
+    byte, in toon, toon+schema and json mode; a document is followed up to
+    its first refused byte (non-ASCII text)."""
+    runs = []
+    for c, toon_text, json_text in gold_texts(cases):
+        runs += [("toon", None, toon_text), ("toon", c.schema, toon_text),
+                 ("json", None, json_text)]
+    for d in docs:
+        runs += [("toon", None, encode_toon(d)), ("json", None, emit_canonical_json(d))]
+    states = set()
+    for mode, schema, text in runs:
+        st = init_state(mode, schema)
+        states.add(st)
+        for b in text.encode():
+            st = step_byte(st, b)
+            if st is None:
+                break
+            states.add(st)
+    return states
+
+
+def _run(state):
+    return (toon_machine if state.mode == "toon" else json_machine).run(state.machine)
+
+
+def test_run_declarations_are_inductive(cases):
+    """A state that declares ``(C, k)``, k >= 1, takes every byte of C, and
+    (for k > 1) lands in a state that declares a class holding C with a
+    budget of at least k - 1: so every string of up to k bytes from C is
+    accepted, which is what the mask's closures rely on."""
+    rng = random.Random(41)
+    docs = [random_document(rng, 3) for _ in range(30)] + _long_key_documents()
+    declared = set()
+    for st in _reached_states(cases, docs):
+        run = _run(st)
+        if run is None or run[1] < 1:
+            continue
+        byte_class, budget = run
+        declared.add((st.mode, st.machine[-1][0]))
+        for b in byte_class:
+            nxt = step_byte(st, b)
+            assert nxt is not None, (st, b)
+            if budget > 1:
+                after = _run(nxt)
+                assert after is not None and after[0] >= byte_class, (st, b)
+                assert after[1] >= budget - 1, (st, b)
+    # every declaration was exercised
+    assert {tag for mode, tag in declared if mode == "toon"} >= {"q", "key", "bval", "sb", "ib"}
+    assert {tag for mode, tag in declared if mode == "json"} >= {
+        "ks", "s", "num", "k", "k1", "col", "v", "v1", "e", "end"}
+
+
+@pytest.fixture(scope="module")
+def mid_vocab(cases):
+    """V ~ 2256, tokens up to 10 bytes, from the gold documents, seeded
+    random documents and the long-key documents."""
+    rng = random.Random(8)
+    docs = [c.gold for c in cases] + [random_document(rng, 3) for _ in range(60)]
+    docs += _long_key_documents() * 3
+    corpus = [encode_toon(d) for d in docs] + [emit_canonical_json(d) for d in docs]
+    return build_toy_vocabulary(corpus, merges=2000, max_len=10)
+
+
+def test_mask_matches_brute_force_at_a_mid_size_vocabulary(cases, mid_vocab):
+    """Sampled states, key-text states near MAX_KEY among them, where a
+    run's budget falls below its closure's height: masks computed through a
+    closure and by the plain walk both equal brute force."""
+    rng = random.Random(17)
+    docs = [random_document(rng, 3) for _ in range(10)] + _long_key_documents()
+    states = sorted(_reached_states(cases, docs), key=repr)
+    near_bound = [st for st in states if _run(st) is not None and _run(st)[1] < 10]
+    sample = rng.sample(states, 120) + rng.sample(near_bound, min(60, len(near_bound)))
+    paths = set()
+    for st in sample:
+        mask = allowed_mask(st, mid_vocab)
+        assert mask.allowed == brute_force_mask(st, mid_vocab), st
+        run = _run(st)
+        if run is not None:
+            closure = engine._caches[mid_vocab].closures[run[0]]
+            paths.add(run[1] >= closure.height)
+    assert paths == {True, False}
+
+
+def test_closures_take_tokens_longer_than_the_recursion_limit():
+    long = b"a" * (sys.getrecursionlimit() + 10)
+    vocab = Vocabulary([bytes([b]) for b in range(128)] + [long, long + b'"', b'"' + long])
+    for prefix in (b'a: "', b"a: ", b'"', b"a"):
+        st = advance_bytes(init_state("toon"), prefix)
+        assert allowed_mask(st, vocab).allowed == brute_force_mask(st, vocab), prefix
+
+
+def test_mask_ids_ascend_and_agree_with_the_set_view(cases, mid_vocab):
+    rng = random.Random(23)
+    states = sorted(_reached_states(cases, []), key=repr)
+    for st in rng.sample(states, 20):
+        mask = allowed_mask(st, mid_vocab)
+        assert list(mask.ids) == sorted(set(mask.ids))
+        assert mask.allowed == frozenset(mask.ids)
+        assert [t for t in range(-1, len(mid_vocab) + 1) if t in mask] == list(mask.ids)
+
+
 def test_mask_caches_die_with_their_vocabulary():
     """A mask cache lives as long as its vocabulary: dropped vocabularies
     leave no cache behind, and a new vocabulary (which may reuse a dropped
@@ -277,7 +467,7 @@ def test_mask_cache_holds_one_mask_per_grammar_state(cases, vocab, monkeypatch):
     seen = {"toon": set(), "json": set()}
     _force_gold_documents(cases, fresh, monkeypatch,
                           lambda state: seen[state.mode].add(state.machine))
-    cache = engine._caches[fresh]
+    cache = engine._caches[fresh].masks
     assert {mode: set(masks) for mode, masks in cache.items()} == seen
     st = init_state("toon", cases[0].schema)
     assert allowed_mask(st, fresh) is allowed_mask(st, fresh)
@@ -288,12 +478,12 @@ def test_mask_cache_is_capped(cases, vocab, monkeypatch):
     fresh = Vocabulary(vocab.tokens)
     sizes = []
     _force_gold_documents(cases, fresh, monkeypatch, lambda state: sizes.append(
-        max(len(masks) for masks in engine._caches[fresh].values())))
+        max(len(masks) for masks in engine._caches[fresh].masks.values())))
     assert max(sizes) == 8
     st = init_state("toon")  # the first state masked, evicted long since
-    assert st.machine not in engine._caches[fresh]["toon"]
+    assert st.machine not in engine._caches[fresh].masks["toon"]
     assert allowed_mask(st, fresh).allowed == brute_force_mask(st, fresh)
-    assert all(len(masks) <= 8 for masks in engine._caches[fresh].values())
+    assert all(len(masks) <= 8 for masks in engine._caches[fresh].masks.values())
 
 
 # -- constrained generation --------------------------------------------------
@@ -353,6 +543,32 @@ def test_generate_ties_break_to_lowest_token_id(vocab):
         replay.extend(vocab.token_bytes(tid))
         st2 = advance(st2, tid, vocab)
     assert bytes(out) == bytes(replay)
+
+
+def test_generate_ties_in_a_large_mask_go_to_the_lowest_id(mid_vocab, monkeypatch):
+    """Scores of 0 or 1 over a mask of thousands of ids: the token taken is
+    the lowest legal id among those scoring 1."""
+    st = advance_bytes(init_state("toon"), b'a: "')
+    ids = allowed_mask(st, mid_vocab).ids
+    assert len(ids) > 1000
+    rng = random.Random(5)
+    scores = [float(rng.random() < 0.3) for _ in range(len(mid_vocab))] + [-1.0]
+    taken = []
+
+    class Stop(Exception):
+        pass
+
+    def policy(step, state):
+        if step:
+            raise Stop
+        return scores
+
+    real = engine.advance
+    monkeypatch.setattr(engine, "advance",
+                        lambda s, t, v: taken.append(t) or real(s, t, v))
+    with pytest.raises(Stop):
+        constrained_generate(policy, mid_vocab, st)
+    assert taken == [min(t for t in ids if scores[t] == 1.0)]
 
 
 def test_generate_output_always_parses(cases, vocab):
