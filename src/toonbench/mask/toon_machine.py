@@ -111,6 +111,7 @@ _DASH = ("dash",)
 _SKEY0 = ("skey", 0)
 _KEYEND = ("keyend",)  # after an object key: ':' or '['
 _IQE = ("iqe",)  # after a list item's quoted first token
+_IQV = ("sqe", None)  # after a quoted list item that cannot be a key
 _VALUE = ("tvs", None, None)  # unconstrained value after "key: "
 
 
@@ -161,20 +162,23 @@ def accepting(state) -> bool:
 def run(state):
     """``(byte_class, budget)`` such that every string of at most ``budget``
     bytes from ``byte_class`` is accepted from ``state``, or None.  Key text
-    stops one short of MAX_KEY, where a taken key is refused."""
+    stops one short of MAX_KEY, where a taken key is refused; a list item's
+    first token goes on as a scalar past MAX_KEY."""
     line = state[2]
     tag = line[0]
     if tag == "q":
         if line[3]:
             return None
         chars = line[2]
-        return (_TEXT, math.inf if chars is None else MAX_KEY - 1 - len(chars))
+        if chars is None or line[1] == _IQE:
+            return (_TEXT, math.inf)
+        return (_TEXT, MAX_KEY - 1 - len(chars))
     if tag == "key":
         return (_KEY_CHARS, MAX_KEY - 1 - len(line[2]))
     if tag == "bval" or tag == "sb":
         return (_PRINTABLE if line[-1] is None else _CELL, math.inf)
     if tag == "ib":
-        return (_ITEM, MAX_KEY - len(line[1]))
+        return (_ITEM, math.inf)
     return None
 
 
@@ -274,7 +278,8 @@ def _quoted(stack, line, b):
     text, 1 after a backslash, and -k while k hex digits of a ``\\u`` escape
     remain.  The closing quote enters ``cont``, with a key's text appended;
     it is refused for a key that is taken, and a backslash for a key that
-    has no room left."""
+    has no room left.  A list item's first token (``iqe``) that can no
+    longer be a key goes on as a scalar item instead."""
     _, cont, chars, esc = line
     if esc == 0:
         if b == NL:
@@ -286,21 +291,31 @@ def _quoted(stack, line, b):
         if b == 0x22:
             return None if _key_taken(stack, cont, chars) else (True, stack, cont + (chars,))
         if b == 0x5C:
-            return (True, stack, ("q", cont, chars, 1)) if len(chars) < MAX_KEY else None
-        chars += chr(b)
-        return (True, stack, ("q", cont, chars, 0)) if _key_fits(stack, cont, chars) else None
+            fits = len(chars) < MAX_KEY or cont == _IQE
+            return (True, stack, ("q", cont, chars, 1)) if fits else None
+        return _key_text(stack, cont, chars + chr(b))
     if esc == 1:
         if b in _UNESCAPE:
             if chars is None:
                 return (True, stack, ("q", cont, None, 0))
-            chars += _UNESCAPE[b]
-            return (True, stack, ("q", cont, chars, 0)) if _key_fits(stack, cont, chars) else None
-        if b == 0x75 and chars is None:
-            return (True, stack, ("q", cont, None, -4))
+            return _key_text(stack, cont, chars + _UNESCAPE[b])
+        if b == 0x75:
+            if chars is None:
+                return (True, stack, ("q", cont, None, -4))
+            if cont == _IQE:
+                return (True, stack, ("q", _IQV, None, -4))
         return None
     if b in _HEX:
         return (True, stack, ("q", cont, None, esc + 1))
     return None
+
+
+def _key_text(stack, cont, chars):
+    """Quoted key text grown to ``chars``; past MAX_KEY characters a list
+    item's first token goes on as a scalar."""
+    if _key_fits(stack, cont, chars):
+        return (True, stack, ("q", cont, chars, 0))
+    return (True, stack, ("q", _IQV, None, 0)) if cont == _IQE else None
 
 
 def _bare_key(stack, line, b):
@@ -508,15 +523,17 @@ def _item_start(stack, line, b):
 def _item_bare(stack, line, b):
     """A list item's bare first token: a key (ended by ':' or '[') or a
     scalar (ended by NL).  Any printable byte but ':' and '[' extends it;
-    ``tsp`` flags a trailing space, on which neither may end."""
+    ``tsp`` flags a trailing space, on which neither may end.  ``chars`` is
+    the text so far, or None past MAX_KEY characters, where only a scalar
+    can end it."""
     _, chars, tsp = line
     if b == 0x3A or b == 0x5B:
-        return None if tsp else _finish_key(stack, chars, b, item=True)
+        return None if tsp or chars is None else _finish_key(stack, chars, b, item=True)
     if b == NL:
         return None if tsp else _end_line(stack)  # scalar item
-    if len(chars) >= MAX_KEY:
-        return None
-    return (True, stack, ("ib", chars + chr(b), b == SP))
+    if chars is not None:
+        chars = chars + chr(b) if len(chars) < MAX_KEY else None
+    return (True, stack, ("ib", chars, b == SP))
 
 
 def _item_quoted_end(stack, line, b):
@@ -644,7 +661,7 @@ _HANDLERS = {
     "dash": _dash,  # after a list item's '-'
     "iarr": _item_array,  # (elem): schema array item, expects '['
     "item0": _item_start,  # after an unconstrained item's "- "
-    "ib": _item_bare,  # (chars, tsp)
+    "ib": _item_bare,  # (chars or None, tsp)
     "iqe": _item_quoted_end,  # (text): item's quoted first token read
     "sint": _int_value,  # (st, ndigits, ctx)
     "sflt": _float_value,  # (st, ctx)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NoReturn, Optional
 
 from .values import Value, check_value, emit_canonical_json
 
@@ -47,25 +47,17 @@ class ToonError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ArrayInfo:
-    """Layout metadata for one array node, keyed by path in ToonDocument."""
-
-    layout: str  # "list" | "tabular"
-    declared_count: int
-    headers: Optional[tuple] = None  # tabular only
-
-
 @dataclass
 class ToonDocument:
     root: Value
-    arrays: dict = field(default_factory=dict)  # path tuple -> ArrayInfo
 
 
 # ASCII digits only: \d would also match other scripts' digits, such as "١٢".
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _NUM_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
-_BARE_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+# Keys and tabular header names: bare where the automaton's key lexer takes
+# them, quoted otherwise.
+_BARE_KEY_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*\Z")
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r", "/": "/"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
@@ -165,23 +157,6 @@ def encode_toon(v: Value) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _array_header(key: Optional[str], items: list) -> str:
-    prefix = _encode_key(key) if key is not None else ""
-    headers = _tabular_headers(items)
-    if headers is not None:
-        cells = ",".join(_quote(h) if _header_needs_quotes(h) else h for h in headers)
-        return f"{prefix}[{len(items)}]{{{cells}}}:"
-    return f"{prefix}[{len(items)}]:"
-
-
-def _header_needs_quotes(h: str) -> bool:
-    if h == "" or h != h.strip(" "):
-        return True
-    if any(c in h for c in ',}{"\\') or any(ord(c) < 0x20 for c in h):
-        return True
-    return h[0] == '"'
-
-
 def _encode_fields(obj: dict, level: int, lines: list):
     pad = "  " * level
     for key, val in obj.items():
@@ -192,18 +167,20 @@ def _encode_fields(obj: dict, level: int, lines: list):
             lines.append(f"{pad}{ek}:")
             _encode_fields(val, level + 1, lines)
         else:
-            lines.append(pad + _array_header(key, val))
-            _encode_array_body(val, level + 1, lines)
+            _encode_array(pad + ek, val, level + 1, lines)
 
 
-def _encode_array_body(items: list, level: int, lines: list):
+def _encode_array(head: str, items: list, level: int, lines: list):
+    """The line ``head[N]...:`` and the items or rows below it at ``level``."""
     headers = _tabular_headers(items)
     pad = "  " * level
     if headers is not None:
+        names = ",".join(_encode_key(h) for h in headers)
+        lines.append(f"{head}[{len(items)}]{{{names}}}:")
         for item in items:
-            row = ",".join(_encode_cell(item[h]) for h in headers)
-            lines.append(pad + row)
+            lines.append(pad + ",".join(_encode_scalar(item[h]) for h in headers))
         return
+    lines.append(f"{head}[{len(items)}]:")
     for item in items:
         if _is_scalar(item):
             lines.append(f"{pad}- {_encode_scalar(item)}")
@@ -219,16 +196,14 @@ def _encode_array_body(items: list, level: int, lines: list):
         else:
             # the fold after "- " shifts the header two columns right, so the
             # nested body indents relative to that, not to the dash
-            lines.append(pad + "- " + _array_header(None, item))
-            _encode_array_body(item, level + 2, lines)
-
-
-def _encode_cell(v: Value) -> str:
-    return _encode_scalar(v)
+            _encode_array(pad + "- ", item, level + 2, lines)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
+#
+# Every position is an offset into a line's content, ``_Line.text``;
+# ``_ToonParser.error`` turns it into a column of the raw line.
 
 
 @dataclass
@@ -238,339 +213,261 @@ class _Line:
     text: str  # content after indent, trailing whitespace stripped
 
 
-def _split_lines(text: str):
+def _split_lines(text: str) -> list:
+    """The content lines of ``text``; a blank line is legal only after the last one."""
     lines = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.rstrip()
-        if stripped == "":
-            continue  # classified later: blank lines are only legal at EOF
-        indent = len(raw) - len(raw.lstrip(" "))
-        rest = raw[indent:]
-        if rest and rest[0] == "\t":
-            raise ToonError(i, indent + 1, "bad-indent", "tab character in indentation")
-        lines.append(_Line(i, indent, stripped[indent:] if indent <= len(stripped) else ""))
-    # Interior blank lines are rejected; trailing ones are fine.
-    seen = {ln.num for ln in lines}
-    nums = [i for i, raw in enumerate(text.split("\n"), start=1) if raw.strip() == ""]
-    last_content = max(seen) if seen else 0
-    for n in nums:
-        if n < last_content:
-            raise ToonError(n, 1, "unexpected-token", "blank line inside document")
+    blank = 0  # the first blank line, if any
+    for num, raw in enumerate(text.split("\n"), start=1):
+        content = raw.rstrip()
+        if content == "":
+            blank = blank or num
+            continue
+        indent = len(content) - len(content.lstrip(" "))
+        if content[indent] == "\t":
+            raise ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
+        lines.append(_Line(num, indent, content[indent:]))
+    if blank and lines and blank < lines[-1].num:
+        raise ToonError(blank, 1, "unexpected-token", "blank line inside document")
     return lines
+
+
+_KEY_END_RE = re.compile(r"[:\[]")
+_COUNT_RE = re.compile(r"\[(0|[1-9][0-9]*)\]")
+_NAME_RE = re.compile(r"[^,}]*")  # a bare tabular header name
+_CELL_RE = re.compile(r"[^,]*")  # a bare row cell
+_PLAIN_RE = re.compile(r'[^"\\]*')  # quoted text up to a quote or backslash
+_HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
+
+
+def _is_item(ln: _Line) -> bool:
+    return ln.text == "-" or ln.text.startswith("- ")
 
 
 class _ToonParser:
     def __init__(self, text: str):
         self.lines = _split_lines(text)
         self.idx = 0
-        self.arrays: dict = {}
 
     def peek(self) -> Optional[_Line]:
         return self.lines[self.idx] if self.idx < len(self.lines) else None
 
-    def error(self, line: _Line, col: int, kind: str, msg: str):
-        raise ToonError(line.num, col, kind, msg)
+    def error(self, ln: _Line, i: int, kind: str, msg: str) -> NoReturn:
+        raise ToonError(ln.num, ln.indent + i + 1, kind, msg)
 
-    def parse_document(self) -> ToonDocument:
-        root = self.parse_object(0, ())
-        ln = self.peek()
-        if ln is not None:
-            self.error(ln, ln.indent + 1, "bad-indent",
-                       f"unexpected indentation {ln.indent} at top level")
-        return ToonDocument(root, self.arrays)
+    # -- objects ------------------------------------------------------------
 
-    # -- object blocks ------------------------------------------------------
-
-    def parse_object(self, col: int, path) -> dict:
-        obj: dict = {}
+    def fields(self, col: int, obj: dict, item: bool = False) -> dict:
+        """The field lines at indentation ``col``, added to ``obj``.  In the
+        object of a list item (``item``) a dash line ends them: it is the next
+        item of the enclosing array."""
         while True:
             ln = self.peek()
             if ln is None or ln.indent < col:
                 return obj
             if ln.indent > col:
-                self.error(ln, ln.indent + 1, "bad-indent",
-                           f"expected indentation {col}, found {ln.indent}")
-            if ln.text.startswith("- ") or ln.text == "-":
-                self.error(ln, col + 1, "unexpected-token", "list item outside an array")
+                self.error(ln, 0, "bad-indent", f"expected indentation {col}, found {ln.indent}")
+            if _is_item(ln):
+                if item:
+                    return obj
+                self.error(ln, 0, "unexpected-token", "list item outside an array")
             self.idx += 1
-            key, after, keyend = self.parse_key(ln)
+            found = self.key(ln, 0)
+            if found is None:
+                self.error(ln, len(ln.text), "unexpected-token", "expected ':' after key")
+            key, i = found
             if key in obj:
-                self.error(ln, 1, "unexpected-token", f"duplicate key {key!r}")
-            obj[key] = self.parse_keyline_value(ln, col, after, keyend, path + (key,))
+                self.error(ln, 0, "unexpected-token", f"duplicate key {key!r}")
+            obj[key] = self.value(ln, 0, i)
 
-    def parse_key(self, ln: _Line):
-        """Returns (key, rest_of_line_after_key, column_after_key)."""
+    def key(self, ln: _Line, i: int):
+        """The key at offset ``i`` and the offset after it, or None when no
+        ':' or '[' ends a bare key."""
         text = ln.text
-        if text.startswith('"'):
-            key, consumed = self.parse_quoted(ln, 0)
-            return key, text[consumed:], consumed
-        for i, c in enumerate(text):
-            if c in ":[":
-                key = text[:i]
-                if key == "" or key != key.strip(" "):
-                    self.error(ln, ln.indent + 1, "unexpected-token", "malformed key")
-                return key, text[i:], i
-        self.error(ln, ln.indent + len(text) + 1, "unexpected-token",
-                   "expected ':' after key")
+        if text.startswith('"', i):
+            return self.quoted(ln, i)
+        m = _KEY_END_RE.search(text, i)
+        if m is None:
+            return None
+        key = text[i:m.start()]
+        if key == "" or key != key.strip(" "):
+            self.error(ln, i, "unexpected-token", "malformed key")
+        return key, m.start()
 
-    def parse_keyline_value(self, ln: _Line, col: int, after: str, keyend: int, path):
-        if after.startswith("["):
-            return self.parse_array_header(ln, col, after, keyend, path)
-        if not after.startswith(":"):
-            self.error(ln, ln.indent + keyend + 1, "unexpected-token",
-                       "expected ':' after key")
-        rest = after[1:]
-        if rest == "":
+    def value(self, ln: _Line, start: int, i: int) -> Value:
+        """The value of the key from offset ``start`` to ``i``: an array, an
+        object on the lines below, or a scalar."""
+        text = ln.text
+        if text.startswith("[", i):
+            return self.array(ln, start, i)
+        if not text.startswith(":", i):
+            self.error(ln, i, "unexpected-token", "expected ':' after key")
+        i += 1
+        if i == len(text):
+            col = ln.indent + start
             nxt = self.peek()
             if nxt is not None and nxt.indent > col:
-                return self.parse_object(col + 2, path)
+                return self.fields(col + 2, {})
             return {}
-        if not rest.startswith(" "):
-            self.error(ln, ln.indent + keyend + 2, "unexpected-token",
-                       "expected space after ':'")
-        return self.parse_scalar(ln, rest[1:], ln.indent + keyend + 2)
+        if text[i] != " ":
+            self.error(ln, i, "unexpected-token", "expected space after ':'")
+        return self.scalar(ln, i + 1)
 
     # -- arrays -------------------------------------------------------------
 
-    _COUNT_RE = re.compile(r"\[(0|[1-9][0-9]*)\]")
-
-    def parse_array_header(self, ln: _Line, col: int, after: str, keyend: int, path):
-        m = self._COUNT_RE.match(after)
-        if not m:
-            self.error(ln, ln.indent + keyend + 2, "unexpected-token",
-                       "malformed array count")
-        count = int(m.group(1))
-        rest = after[m.end():]
-        if rest.startswith("{"):
-            headers, consumed = self.parse_headers(ln, rest, ln.indent + keyend + m.end())
-            rest = rest[consumed:]
-            if rest != ":":
-                self.error(ln, ln.indent + len(ln.text), "unexpected-token",
-                           "expected ':' after tabular header")
-            self.arrays[path] = ArrayInfo("tabular", count, headers)
-            return self.parse_tabular_rows(ln, col + 2, count, headers, path)
-        if rest != ":":
-            self.error(ln, ln.indent + keyend + m.end() + 1, "unexpected-token",
-                       "expected ':' after array count")
-        self.arrays[path] = ArrayInfo("list", count)
-        return self.parse_list_items(ln, col + 2, count, path)
-
-    def parse_headers(self, ln: _Line, text: str, base_col: int):
-        assert text.startswith("{")
-        headers = []
-        i = 1
-        while True:
-            if i >= len(text):
-                self.error(ln, ln.indent + base_col + i, "unexpected-token",
-                           "unterminated tabular header")
-            if text[i] == '"':
-                h, consumed = self.parse_quoted(ln, base_col + i, text[i:])
-                headers.append(h)
-                i += consumed
-            else:
-                j = i
-                while j < len(text) and text[j] not in ",}":
-                    j += 1
-                cell = text[i:j]
-                if cell == "" or cell != cell.strip(" "):
-                    self.error(ln, ln.indent + base_col + i + 1, "unexpected-token",
-                               "malformed header name")
-                headers.append(cell)
-                i = j
-            if i >= len(text):
-                self.error(ln, ln.indent + base_col + i, "unexpected-token",
-                           "unterminated tabular header")
-            if text[i] == ",":
-                i += 1
-                continue
-            if text[i] == "}":
-                break
-            self.error(ln, ln.indent + base_col + i + 1, "unexpected-token",
-                       "expected ',' or '}' in header")
-        if len(set(headers)) != len(headers):
-            self.error(ln, ln.indent + base_col + 1, "unexpected-token",
-                       "duplicate header name")
-        return tuple(headers), i + 1
-
-    def parse_tabular_rows(self, header_ln: _Line, col: int, count: int, headers, path):
-        rows = []
-        while True:
-            ln = self.peek()
-            if ln is None or ln.indent < col:
-                break
-            if ln.indent > col:
-                self.error(ln, ln.indent + 1, "bad-indent",
-                           f"expected indentation {col}, found {ln.indent}")
-            if len(rows) >= count:
-                self.error(ln, ln.indent + 1, "count-mismatch",
-                           f"declared {count} rows but found more")
-            self.idx += 1
-            cells = self.parse_row(ln)
-            if len(cells) != len(headers):
-                self.error(ln, ln.indent + 1, "arity-mismatch",
-                           f"row has {len(cells)} cells, header has {len(headers)}")
-            rows.append(dict(zip(headers, cells)))
-        if len(rows) != count:
-            self.error(header_ln, header_ln.indent + 1, "count-mismatch",
-                       f"declared {count} rows but found {len(rows)}")
-        return rows
-
-    def parse_row(self, ln: _Line) -> list:
+    def array(self, ln: _Line, start: int, i: int) -> list:
+        """The array whose header ``[N]:`` or ``[N]{names}:`` opens at offset
+        ``i``, after a key (or a list item's dash) at ``start``."""
         text = ln.text
-        cells = []
-        i = 0
-        while True:
-            if i < len(text) and text[i] == '"':
-                cell, consumed = self.parse_quoted(ln, i, text[i:])
-                cells.append(cell)
-                i += consumed
-            else:
-                j = i
-                while j < len(text) and text[j] != ",":
-                    j += 1
-                raw = text[i:j]
-                if raw == "" or raw != raw.strip(" "):
-                    self.error(ln, ln.indent + i + 1, "unexpected-token",
-                               "malformed bare cell")
-                cells.append(_lex_bare_scalar(raw))
-                i = j
-            if i >= len(text):
-                return cells
-            if text[i] != ",":
-                self.error(ln, ln.indent + i + 1, "unexpected-token",
-                           "expected ',' between cells")
-            i += 1
+        m = _COUNT_RE.match(text, i)
+        if not m:
+            self.error(ln, i + 1, "unexpected-token", "malformed array count")
+        count = self.lex(ln, i + 1, m.group(1))  # the digits lex as an int
+        i = m.end()
+        if not text.startswith("{", i):
+            if text[i:] != ":":
+                self.error(ln, i, "unexpected-token", "expected ':' after array count")
+            return self.body(ln, start, count, None)
+        names, j = self.cells(ln, i + 1, header=True)
+        if j == len(text):
+            self.error(ln, j - 1, "unexpected-token", "unterminated tabular header")
+        if text[j] != "}":
+            self.error(ln, j, "unexpected-token", "expected ',' or '}' in header")
+        if len(set(names)) != len(names):
+            self.error(ln, i, "unexpected-token", "duplicate header name")
+        if text[j + 1:] != ":":
+            self.error(ln, len(text) - 1, "unexpected-token",
+                       "expected ':' after tabular header")
+        return self.body(ln, start, count, tuple(names))
 
-    def parse_list_items(self, header_ln: _Line, col: int, count: int, path):
-        items = []
-        while True:
-            ln = self.peek()
-            if ln is None or ln.indent < col:
-                break
-            if ln.indent > col:
-                self.error(ln, ln.indent + 1, "bad-indent",
-                           f"expected indentation {col}, found {ln.indent}")
-            if not (ln.text == "-" or ln.text.startswith("- ")):
-                break  # not an item line; let caller decide (likely an error upstream)
-            if len(items) >= count:
-                self.error(ln, ln.indent + 1, "count-mismatch",
-                           f"declared {count} items but found more")
-            self.idx += 1
-            items.append(self.parse_item(ln, col, path + (len(items),)))
-        if len(items) != count:
-            self.error(header_ln, header_ln.indent + 1, "count-mismatch",
-                       f"declared {count} items but found {len(items)}")
-        return items
-
-    def parse_item(self, ln: _Line, col: int, path):
-        if ln.text == "-":
-            return {}
-        content = ln.text[2:]
-        ccol = col + 2
-        if content.startswith("["):
-            # Nested keyless array.
-            inner = _Line(ln.num, ccol, content)
-            return self.parse_array_header(inner, ccol, content, 0, path)
-        # Object item or scalar item: object iff an unquoted ':' / '[' splits a key.
-        if content.startswith('"'):
-            s, consumed = self.parse_quoted(ln, ccol, content)
-            rest = content[consumed:]
-            if rest == "":
-                return s  # quoted scalar item
-            inner = _Line(ln.num, ccol, content)
-            first_val = self.parse_keyline_value(inner, ccol, rest, consumed, path + (s,))
-            return self.finish_item_object(ccol, path, s, first_val, ln)
-        for i, c in enumerate(content):
-            if c in ":[":
-                key = content[:i]
-                if key == "" or key != key.strip(" "):
-                    self.error(ln, ccol + 1, "unexpected-token", "malformed key")
-                inner = _Line(ln.num, ccol, content)
-                first_val = self.parse_keyline_value(inner, ccol, content[i:], i,
-                                                     path + (key,))
-                return self.finish_item_object(ccol, path, key, first_val, ln)
-        return self.parse_scalar(ln, content, ccol)
-
-    def finish_item_object(self, ccol: int, path, first_key, first_val, ln: _Line):
-        obj = {first_key: first_val}
+    def body(self, ln: _Line, start: int, count: int, names) -> list:
+        """The ``count`` lines under the array header ``ln``: list items, or
+        the rows of the tabular header ``names``."""
+        col = ln.indent + start + 2
+        noun = "items" if names is None else "rows"
+        out = []
         while True:
             nxt = self.peek()
-            if nxt is None or nxt.indent < ccol:
-                return obj
-            if nxt.indent > ccol:
-                self.error(nxt, nxt.indent + 1, "bad-indent",
-                           f"expected indentation {ccol}, found {nxt.indent}")
-            if nxt.text == "-" or nxt.text.startswith("- "):
-                return obj  # next item of the enclosing array... caller handles
+            if nxt is None or nxt.indent < col:
+                break
+            if nxt.indent > col:
+                self.error(nxt, 0, "bad-indent", f"expected indentation {col}, found {nxt.indent}")
+            if names is None and not _is_item(nxt):
+                break  # the count check or the enclosing object refuses it
+            if len(out) >= count:
+                self.error(nxt, 0, "count-mismatch", f"declared {count} {noun} but found more")
             self.idx += 1
-            key, after, keyend = self.parse_key(nxt)
-            if key in obj:
-                self.error(nxt, 1, "unexpected-token", f"duplicate key {key!r}")
-            obj[key] = self.parse_keyline_value(nxt, ccol, after, keyend, path + (key,))
+            out.append(self.item(nxt) if names is None else self.row(nxt, names))
+        if len(out) != count:
+            self.error(ln, start, "count-mismatch",
+                       f"declared {count} {noun} but found {len(out)}")
+        return out
+
+    def cells(self, ln: _Line, i: int, header: bool):
+        """The comma-separated cells from offset ``i`` and the offset where
+        they stop: a tabular header's names stop at '}' or the end of the
+        line, where no name may start; a row's values at the end of the line."""
+        text = ln.text
+        bare = _NAME_RE if header else _CELL_RE
+        cells = []
+        while not (header and i == len(text)):
+            if text.startswith('"', i):
+                cell, i = self.quoted(ln, i)
+            else:
+                j = bare.match(text, i).end()
+                cell = text[i:j]
+                if cell == "" or cell != cell.strip(" "):
+                    self.error(ln, i, "unexpected-token",
+                               "malformed header name" if header else "malformed bare cell")
+                if not header:
+                    cell = self.lex(ln, i, cell)
+                i = j
+            cells.append(cell)
+            if not text.startswith(",", i):
+                break
+            i += 1
+        return cells, i
+
+    def row(self, ln: _Line, names: tuple) -> dict:
+        cells, i = self.cells(ln, 0, header=False)
+        if i < len(ln.text):
+            self.error(ln, i, "unexpected-token", "expected ',' between cells")
+        if len(cells) != len(names):
+            self.error(ln, 0, "arity-mismatch",
+                       f"row has {len(cells)} cells, header has {len(names)}")
+        return dict(zip(names, cells))
+
+    def item(self, ln: _Line) -> Value:
+        """A list item: ``-`` (an empty object), a keyless array, a scalar, or
+        an object whose first field follows the dash."""
+        text = ln.text
+        if text == "-":
+            return {}
+        if text.startswith("[", 2):
+            return self.array(ln, 2, 2)
+        found = self.key(ln, 2)
+        if found is None:
+            return self.scalar(ln, 2)
+        key, i = found
+        if i == len(text):
+            return key  # a quoted scalar
+        return self.fields(ln.indent + 2, {key: self.value(ln, 2, i)}, item=True)
 
     # -- scalars ------------------------------------------------------------
 
-    def parse_scalar(self, ln: _Line, text: str, col: int) -> Value:
-        if text.startswith('"'):
-            s, consumed = self.parse_quoted(ln, col, text)
-            if consumed != len(text):
-                self.error(ln, ln.indent + col + consumed + 1, "unexpected-token",
-                           "trailing characters after quoted string")
+    def scalar(self, ln: _Line, i: int) -> Value:
+        text = ln.text
+        if text.startswith('"', i):
+            s, j = self.quoted(ln, i)
+            if j != len(text):
+                self.error(ln, j, "unexpected-token", "trailing characters after quoted string")
             return s
-        if text.startswith(" "):
-            self.error(ln, ln.indent + col + 1, "unexpected-token",
-                       "unquoted value starts with a space")
-        return _lex_bare_scalar(text)
+        if text.startswith(" ", i):
+            self.error(ln, i, "unexpected-token", "unquoted value starts with a space")
+        return self.lex(ln, i, text[i:])
 
-    def parse_quoted(self, ln: _Line, col: int, text: Optional[str] = None):
-        """Parse a quoted string at the given content offset; returns (str, chars consumed)."""
-        if text is None:
-            text = ln.text[col:]
-        assert text.startswith('"')
+    def lex(self, ln: _Line, i: int, raw: str) -> Value:
+        """The bare scalar ``raw`` at offset ``i``; a numeral that int() or
+        float() cannot hold is refused there."""
+        try:
+            return _lex_bare_scalar(raw)
+        except ValueError as e:
+            self.error(ln, i, "unexpected-token", str(e))
+
+    def quoted(self, ln: _Line, i: int):
+        """The quoted string at offset ``i`` and the offset after its closing quote."""
+        text = ln.text
         out = []
-        i = 1
-        while i < len(text):
-            c = text[i]
-            if c == '"':
-                return "".join(out), i + 1
-            if c == "\\":
-                if i + 1 >= len(text):
-                    self.error(ln, ln.indent + col + i + 1, "bad-escape",
-                               "unterminated escape")
-                esc = text[i + 1]
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    i += 2
-                elif esc == "u":
-                    hexs = text[i + 2:i + 6]
-                    if len(hexs) != 4 or not all(h in "0123456789abcdefABCDEF" for h in hexs):
-                        self.error(ln, ln.indent + col + i + 1, "bad-escape",
-                                   "invalid \\u escape")
-                    out.append(chr(int(hexs, 16)))
-                    i += 6
-                else:
-                    self.error(ln, ln.indent + col + i + 1, "bad-escape",
-                               f"invalid escape \\{esc}")
+        i += 1
+        while True:
+            j = _PLAIN_RE.match(text, i).end()
+            out.append(text[i:j])
+            if j == len(text):
+                self.error(ln, j - 1, "unexpected-token", "unterminated quoted string")
+            if text[j] == '"':
+                return "".join(out), j + 1
+            if j + 1 == len(text):  # text[j] is a backslash
+                self.error(ln, j, "bad-escape", "unterminated escape")
+            esc = text[j + 1]
+            if esc in _ESCAPES:
+                out.append(_ESCAPES[esc])
+                i = j + 2
+            elif esc == "u":
+                if not _HEX4_RE.match(text, j + 2):
+                    self.error(ln, j, "bad-escape", "invalid \\u escape")
+                out.append(chr(int(text[j + 2:j + 6], 16)))
+                i = j + 6
             else:
-                out.append(c)
-                i += 1
-        self.error(ln, ln.indent + col + len(text), "unexpected-token",
-                   "unterminated quoted string")
+                self.error(ln, j, "bad-escape", f"invalid escape \\{esc}")
 
 
 def parse_toon(text: str) -> ToonDocument:
     """Parse TOON text (no code fences) into a ToonDocument."""
     parser = _ToonParser(text)
     try:
-        return parser.parse_document()
-    except ToonError:
-        raise
-    except ValueError as e:  # a numeral int() or float() cannot hold
-        message = str(e)
+        return ToonDocument(parser.fields(0, {}))
     except RecursionError:
-        message = "nesting too deep"
-    ln = parser.lines[max(parser.idx - 1, 0)]
-    raise ToonError(ln.num, ln.indent + 1, "unexpected-token", message) from None
+        ln = parser.lines[max(parser.idx - 1, 0)]
+        raise ToonError(ln.num, ln.indent + 1, "unexpected-token", "nesting too deep") from None
 
 
 _FENCE_RE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)

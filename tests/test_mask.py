@@ -168,6 +168,38 @@ def test_toon_backslash_refused_in_a_full_quoted_key():
     assert is_accepting(advance_bytes(st, b'\\n": 1\n'))
 
 
+@pytest.mark.parametrize("doc", [
+    {"a": ["xy" * 40, {"b": 1}]},
+    {"a": ["x y, " * 14, {"b": 1}]},  # quoted: it holds commas
+    {"a": ["k" * (toon_machine.MAX_KEY - 1) + "\\" * 4]},  # escapes past MAX_KEY
+])
+def test_toon_list_item_scalar_longer_than_a_key_is_accepted(doc):
+    text = encode_toon(doc)
+    assert parse_toon(text).root == doc
+    assert is_accepting(advance_bytes(init_state("toon"), text.encode()))
+
+
+@pytest.mark.parametrize("token", [
+    b"k" * (toon_machine.MAX_KEY + 1),
+    b'"' + b"k" * (toon_machine.MAX_KEY + 1) + b'"',
+    b'"\\u0041"',
+])
+def test_toon_list_item_that_cannot_be_a_key_ends_only_as_a_scalar(token):
+    """A list item's first token past MAX_KEY characters, or with a \\u
+    escape, can no longer be a key: ':' is refused and NL ends the item."""
+    st = advance_bytes(init_state("toon"), b"a[1]:\n  - " + token)
+    assert step_byte(st, ord(":")) is None and step_byte(st, ord("[")) is None
+    text = b"a[1]:\n  - " + token + b"\n"
+    assert is_accepting(advance_bytes(init_state("toon"), text))
+    assert isinstance(parse_toon(text.decode()).root["a"][0], str)
+
+
+def test_toon_list_item_key_of_max_length_still_opens_an_object():
+    for key in (b"k" * toon_machine.MAX_KEY, b'"' + b"k" * toon_machine.MAX_KEY + b'"'):
+        text = b"a[1]:\n  - " + key + b": 1\n    b: 2\n"
+        assert is_accepting(advance_bytes(init_state("toon"), text))
+
+
 def test_json_unicode_escape_counts_toward_the_key_length():
     key = b"a" * json_machine.MAX_KEY
     with pytest.raises(RejectError):
@@ -313,14 +345,14 @@ def test_tokenization_independence(cases, vocab):
 def _long_key_documents():
     """Key-text states at the bound: full-length keys (bare, quoted with an
     escape, tabular header names), each followed by a sibling that shares all
-    but its last character, and a list item's bare token as long as a key."""
+    but its last character, and list items as long as a key and longer."""
     n = toon_machine.MAX_KEY
     full, near = "k" * n, "k" * (n - 1) + "j"
     quoted = 'q "' + "q" * (n - 3)
     row = {full: 1, near: 2}
     return [{full: 1, near: {quoted: "v", quoted[:-1] + "j": 2}},
             {"a" * 50: [{"b" * (n - 3): 1, "c": 2}], "a" * (n - 5) + "\\": "t"},
-            {"rows": [row, row], "items": ["i" * n, {"a": 1}]}]
+            {"rows": [row, row], "items": ["i" * n, "i" * (n + 3), "i, " * 30, {"a": 1}]}]
 
 
 def _reached_states(cases, docs):

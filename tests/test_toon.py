@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_document
+from toonbench.mask import init_state, is_accepting
+from toonbench.mask.engine import advance_bytes
 from toonbench.toon import (ToonError, encode_toon, extract_toon_block,
                             parse_toon, toon_to_json, NonObjectRoot)
 from toonbench.values import deep_equal, emit_canonical_json
@@ -27,14 +29,6 @@ def test_reference_example_parses_and_reencodes_identically():
     assert doc.root["summary"]["total"] == 3
     assert doc.root["sections"][0]["items"][0] == {"id": 1, "value": "First"}
     assert encode_toon(doc.root) == text
-
-
-def test_reference_example_array_metadata():
-    doc = parse_toon(reference_example())
-    assert doc.arrays[("sections",)].layout == "list"
-    assert doc.arrays[("sections",)].declared_count == 2
-    items0 = doc.arrays[("sections", 0, "items")]
-    assert items0.layout == "tabular" and items0.headers == ("id", "value")
 
 
 # -- encoding ----------------------------------------------------------------
@@ -78,6 +72,22 @@ def test_encode_quoting_rules():
     assert 'h: "br[ack"' in out
     assert 'i: "he said \\"hi\\"\\n"' in out
     assert deep_equal(v, parse_toon(out).root)[0]
+
+
+def test_header_names_quote_as_keys_the_automaton_accepts():
+    """Tabular header names take the key quoting rule, so the encoding of an
+    ASCII document is accepted by the toon automaton, which lexes them as
+    keys, at the top level, nested and in a list item."""
+    rng = random.Random(909)
+    for _ in range(300):
+        names = {"".join(rng.choice("ab_ .-09") for _ in range(rng.randrange(1, 6)))
+                 for _ in range(rng.randrange(1, 4))}
+        rows = [{h: rng.choice([1, -2.5, None, True, "x y", "a,b", ""]) for h in names}
+                for _ in range(rng.randrange(1, 4))]
+        v = {"t": rows, "o": {"t": rows}, "l": [rows, 1]}
+        text = encode_toon(v)
+        assert is_accepting(advance_bytes(init_state("toon"), text.encode())), text
+        assert deep_equal(v, parse_toon(text).root)[0], text
 
 
 def test_encode_empty_containers():
@@ -144,6 +154,116 @@ def test_interior_blank_line_rejected_trailing_allowed():
 def test_error_carries_line_number():
     e = _err("a: 1\nb[2]:\n  - 1\n")
     assert e.kind == "count-mismatch" and e.line == 2
+
+
+# Positioned errors: (text, line, column, kind), each site at indent 0 and
+# again below it, in a nested value, a list item, a tabular header or a row.
+# Columns are 1-based from the start of the raw line, indentation included.
+# Rows with the old column in a comment moved: below the top level it counted
+# the indentation twice, a duplicate key pointed at column 1 whatever its
+# indent, and a numeral int() or float() cannot hold pointed at the start of
+# its line.
+_DIGITS = "1" * 5000
+POSITIONED = [
+    ("\tb: 1\n", 1, 1, "bad-indent"),
+    ("a:\n  \tb: 1\n", 2, 3, "bad-indent"),
+    ("a: 1\n\nb: 2\n", 2, 1, "unexpected-token"),
+    ("a:\n  b: 1\n\n  c: 2\n", 3, 1, "unexpected-token"),
+    ("  a: 1\n", 1, 3, "bad-indent"),
+    ("a:\n   b: 1\n", 2, 4, "bad-indent"),
+    ("a[1]:\n  - b: 1\n     c: 2\n", 3, 6, "bad-indent"),
+    ("- a\n", 1, 1, "unexpected-token"),
+    ("a:\n  - b\n", 2, 3, "unexpected-token"),
+    (": 1\n", 1, 1, "unexpected-token"),
+    ("a : 1\n", 1, 1, "unexpected-token"),
+    ("a:\n  b : 1\n", 2, 3, "unexpected-token"),
+    ("a[1]:\n  -  x: 1\n", 2, 5, "unexpected-token"),
+    ("a[1]:\n  - b: 1\n    c : 2\n", 3, 5, "unexpected-token"),
+    ("a\n", 1, 2, "unexpected-token"),
+    ("a:\n  b\n", 2, 4, "unexpected-token"),
+    ("a[1]:\n  - b: 1\n    c\n", 3, 6, "unexpected-token"),
+    ("a: 1\na: 2\n", 2, 1, "unexpected-token"),
+    ("a:\n  b: 1\n  b: 2\n", 3, 3, "unexpected-token"),  # was 1
+    ("a[1]:\n  - b: 1\n    b: 2\n", 3, 5, "unexpected-token"),  # was 1
+    ('"a" 1\n', 1, 4, "unexpected-token"),
+    ('a:\n  "b" 1\n', 2, 6, "unexpected-token"),
+    ('a[1]:\n  - "b" 1\n', 2, 8, "unexpected-token"),
+    ("a:1\n", 1, 3, "unexpected-token"),
+    ("a:\n  b:1\n", 2, 5, "unexpected-token"),
+    ("a[1]:\n  - b:1\n", 2, 7, "unexpected-token"),
+    ("a[x]:\n", 1, 3, "unexpected-token"),
+    ("a:\n  b[x]:\n", 2, 5, "unexpected-token"),
+    ("a[1]:\n  - [x]:\n", 2, 6, "unexpected-token"),
+    ("a[" + _DIGITS + "]:\n", 1, 3, "unexpected-token"),  # was 1
+    ("a:\n  b[" + _DIGITS + "]:\n", 2, 5, "unexpected-token"),  # was 3
+    ("a[1]x\n", 1, 5, "unexpected-token"),
+    ("a:\n  b[1]x\n", 2, 7, "unexpected-token"),
+    ("a[1]:\n  - [1]x\n", 2, 8, "unexpected-token"),
+    ("a[1]{\n", 1, 5, "unexpected-token"),
+    ("a[1]{x\n", 1, 6, "unexpected-token"),
+    ("a[1]{x,\n", 1, 7, "unexpected-token"),
+    ('a[1]{"x"\n', 1, 8, "unexpected-token"),
+    ("b:\n  a[1]{x\n", 2, 8, "unexpected-token"),  # was 10
+    ("a[1]:\n  - [1]{x,\n", 2, 10, "unexpected-token"),  # was 14
+    ("a[1]{}:\n", 1, 6, "unexpected-token"),
+    ("t[1]{x, y}:\n  1,2\n", 1, 8, "unexpected-token"),
+    ("a:\n  t[1]{x, y}:\n    1,2\n", 2, 10, "unexpected-token"),  # was 12
+    ("a[1]:\n  - [1]{x, y}:\n      1,2\n", 2, 11, "unexpected-token"),  # was 15
+    ('a[1]{"x"y}:\n', 1, 9, "unexpected-token"),
+    ('b:\n  a[1]{"x"y}:\n', 2, 11, "unexpected-token"),  # was 13
+    ("a[1]{x,x}:\n  1,2\n", 1, 5, "unexpected-token"),
+    ("b:\n  a[1]{x,x}:\n    1,2\n", 2, 7, "unexpected-token"),  # was 9
+    ("a[1]:\n  - k[1]{x,x}:\n      1,2\n", 2, 9, "unexpected-token"),  # was 13
+    ("a[1]{x}\n", 1, 7, "unexpected-token"),
+    ("a[1]{x}:x\n", 1, 9, "unexpected-token"),
+    ("b:\n  a[1]{x}:x\n", 2, 11, "unexpected-token"),
+    ("a[1]{x}:\n   1\n", 2, 4, "bad-indent"),
+    ("a[1]{x}:\n  1\n  2\n", 3, 3, "count-mismatch"),
+    ("a[1]{x,y}:\n  1\n", 2, 3, "arity-mismatch"),
+    ("b:\n  a[1]{x,y}:\n    1,2,3\n", 3, 5, "arity-mismatch"),
+    ("a[2]{x}:\n  1\n", 1, 1, "count-mismatch"),
+    ("b:\n  a[2]{x}:\n    1\n", 2, 3, "count-mismatch"),
+    ("a[1]:\n  - [2]{x}:\n      1\n", 2, 5, "count-mismatch"),
+    ("a[1]:\n   - 1\n", 2, 4, "bad-indent"),
+    ("a[1]:\n  - 1\n  - 2\n", 3, 3, "count-mismatch"),
+    ("a[2]:\n  - 1\n", 1, 1, "count-mismatch"),
+    ("a[1]:\n  - b[2]:\n      - 1\n", 2, 5, "count-mismatch"),
+    ('a[1]{x,y}:\n  "p"q,1\n', 2, 6, "unexpected-token"),
+    ("a[1]{x,y}:\n  1, 2\n", 2, 5, "unexpected-token"),
+    ("a[1]{x,y}:\n  1,\n", 2, 5, "unexpected-token"),
+    ('b: "x"y\n', 1, 7, "unexpected-token"),
+    ('a:\n  b: "x"y\n', 2, 9, "unexpected-token"),  # was 11
+    ('a[1]:\n  - k: "x"y\n', 2, 11, "unexpected-token"),  # was 15
+    ("a:  x\n", 1, 4, "unexpected-token"),
+    ("b:\n  a:  x\n", 2, 6, "unexpected-token"),  # was 8
+    ("a[1]:\n  -  x\n", 2, 5, "unexpected-token"),  # was 7
+    ("a: 1e999\n", 1, 4, "unexpected-token"),  # was 1
+    ("a:\n  b: 1e999\n", 2, 6, "unexpected-token"),  # was 3
+    ("a[1]:\n  - -1e999\n", 2, 5, "unexpected-token"),  # was 3
+    ("a[1]{x}:\n  1e999\n", 2, 3, "unexpected-token"),
+    ("a[1]{x,y}:\n  1,1e999\n", 2, 5, "unexpected-token"),  # was 3
+    ("a: " + _DIGITS + "\n", 1, 4, "unexpected-token"),  # was 1
+    ('b: "x\\\n', 1, 6, "bad-escape"),
+    ('b: "\\u12"\n', 1, 5, "bad-escape"),
+    ('b: "x\\q"\n', 1, 6, "bad-escape"),
+    ('a:\n  b: "x\\q"\n', 2, 8, "bad-escape"),  # was 10
+    ('a[1]:\n  - "x\\q"\n', 2, 7, "bad-escape"),  # was 9
+    ('"a\\q": 1\n', 1, 3, "bad-escape"),
+    ('a:\n  "b\\q": 1\n', 2, 5, "bad-escape"),
+    ('a[1]{"x\\q"}:\n', 1, 8, "bad-escape"),
+    ('b:\n  a[1]{"x\\q"}:\n', 2, 10, "bad-escape"),  # was 12
+    ('a[1]{x}:\n  "\\q"\n', 2, 4, "bad-escape"),
+    ('b: "x\n', 1, 5, "unexpected-token"),
+    ('a:\n  b: "x\n', 2, 7, "unexpected-token"),  # was 9
+    ('a[1]:\n  - "x\n', 2, 6, "unexpected-token"),  # was 8
+]
+
+
+@pytest.mark.parametrize("text, line, column, kind", POSITIONED,
+                         ids=[repr(text[:24]) for text, *_ in POSITIONED])
+def test_error_positions(text, line, column, kind):
+    e = _err(text)
+    assert (e.line, e.column, e.kind) == (line, column, kind), e
 
 
 # -- scalar lexing -----------------------------------------------------------
