@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ import requests
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
 RETRYABLE_STATUS = frozenset((408, 429, 500, 502, 503, 504))
+MAX_RETRY_AFTER = 60  # seconds; a longer Retry-After is cut to this
 
 
 class TransportError(Exception):
@@ -77,9 +79,12 @@ def estimate_tokens(text: str) -> int:
 class HttpClient:
     """OpenAI-compatible ``/chat/completions`` client.
 
-    Transient transport failures and retryable HTTP statuses are retried
-    with exponential backoff; only the final successful response's usage is
-    recorded.  Shareable across threads.
+    Transient transport failures and retryable HTTP statuses are retried.
+    A retryable response's ``Retry-After`` in whole seconds sets the wait,
+    capped at MAX_RETRY_AFTER; otherwise the wait is the exponential backoff
+    times a factor drawn uniformly from [0.5, 1], so clients that failed
+    together do not retry together.  Only the final successful response's
+    usage is recorded.  Shareable across threads.
     """
 
     def __init__(self, endpoint: str, api_key_env: str = "TOONBENCH_API_KEY",
@@ -99,9 +104,14 @@ class HttpClient:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         last_error: Optional[Exception] = None
+        asked: Optional[int] = None  # the last response's Retry-After
         for attempt in range(self.retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                if asked is None:
+                    time.sleep(self.backoff * 2 ** (attempt - 1) * random.uniform(0.5, 1.0))
+                else:
+                    time.sleep(asked)
+            asked = None
             try:
                 resp = self._session.post(url, json=req.body(), headers=headers,
                                           timeout=self.timeout)
@@ -110,6 +120,7 @@ class HttpClient:
                 continue
             if resp.status_code in RETRYABLE_STATUS:
                 last_error = ApiError(resp.status_code, resp.text)
+                asked = _retry_after(resp.headers.get("Retry-After", ""))
                 continue
             if resp.status_code != 200:
                 raise ApiError(resp.status_code, resp.text)
@@ -122,6 +133,16 @@ class HttpClient:
             raise last_error
         raise TransportError(f"request failed after {self.retries + 1} attempts: "
                              f"{last_error}")
+
+
+def _retry_after(value: str) -> Optional[int]:
+    """The wait a ``Retry-After`` header asks for, as a non-negative whole
+    number of seconds capped at MAX_RETRY_AFTER, or None for an HTTP-date,
+    a malformed value or no header ("")."""
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(int(value), MAX_RETRY_AFTER)
 
 
 def _parse_response(payload: dict) -> ChatResponse:

@@ -113,6 +113,7 @@ _KEYEND = ("keyend",)  # after an object key: ':' or '['
 _IQE = ("iqe",)  # after a list item's quoted first token
 _IQV = ("sqe", None)  # after a quoted list item that cannot be a key
 _VALUE = ("tvs", None, None)  # unconstrained value after "key: "
+_LIST_ITEM = "-"  # the context of a schema list item's scalar
 
 
 def initial(schema=None):
@@ -176,7 +177,10 @@ def run(state):
     if tag == "key":
         return (_KEY_CHARS, MAX_KEY - 1 - len(line[2]))
     if tag == "bval" or tag == "sb":
-        return (_PRINTABLE if line[-1] is None else _CELL, math.inf)
+        ctx = line[-1]
+        if ctx is None:
+            return (_PRINTABLE, math.inf)
+        return (_ITEM if ctx == _LIST_ITEM else _CELL, math.inf)
     if tag == "ib":
         return (_ITEM, math.inf)
     return None
@@ -498,7 +502,7 @@ def _dash(stack, line, b):
         return None if s2 is None else (True, s2, _SKEY0)
     if isinstance(elem, ArrayType):
         return (True, stack, ("iarr", elem))
-    return (True, stack, ("tvs", elem, None))
+    return (True, stack, ("tvs", elem, _LIST_ITEM))
 
 
 def _item_array(stack, line, b):
@@ -515,7 +519,8 @@ def _item_start(stack, line, b):
         return (True, stack, ("cnt", "u", 0, 0, stack[-1][1] + 4))
     if b == 0x22:
         return (True, stack, ("q", _IQE, "", 0))
-    if b == SP or b == NL:
+    # a leading ':' would end an empty key
+    if b == SP or b == NL or b == 0x3A:
         return None
     return (True, stack, ("ib", chr(b), False))
 
@@ -547,13 +552,17 @@ def _item_quoted_end(stack, line, b):
 
 def _begin_value(stack, fs, ctx, b):
     """First byte of a scalar of schema type ``fs`` (None: unconstrained) in
-    context ``ctx``: None after ``key: `` or ``- ``, else the index of a
-    cell in the row of the top tabular frame."""
+    context ``ctx``: None after ``key: ``, ``_LIST_ITEM`` after a schema list
+    item's ``- ``, else the index of a cell in the row of the top tabular
+    frame.  A bare list item holds no ':' or '[', where the parser would
+    read a key."""
     if fs is None or isinstance(fs, StrType):
         if b == 0x22:
             return (True, stack, ("q", ("sqe", ctx), None, 0))
         # no leading space, and no empty cell
-        if b == SP or b == NL or (b == 0x2C and ctx is not None):
+        if b == SP or b == NL or (b == 0x2C and type(ctx) is int):
+            return None
+        if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
             return None
         if fs is None:
             return (True, stack, ("bval", False, ctx))
@@ -575,7 +584,7 @@ def _value_end(stack, ctx, b):
     """Terminator byte after a scalar: NL ends a value line; a cell ends with
     ',' when another cell follows and with NL after the last one, which
     completes the row."""
-    if ctx is None:
+    if type(ctx) is not int:
         return _end_line(stack) if b == NL else None
     cols = stack[-1][3]
     if b == 0x2C:
@@ -626,10 +635,12 @@ def _str_value(stack, line, b):
     """Bare StrType lexeme, tracked by the numeral DFA (``num``) and as a
     literal prefix (``lit``) so that it cannot end as a number or literal."""
     _, num, lit, tsp, ctx = line
-    if b == NL or (b == 0x2C and ctx is not None):
+    if b == NL or (b == 0x2C and type(ctx) is int):
         if tsp or num in _NUM_ACC or lit in _LITERALS:
             return None
         return _value_end(stack, ctx, b)
+    if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
+        return None
     if lit is not None:
         lit += chr(b)
         if lit not in _LIT_PREFIXES:

@@ -7,6 +7,7 @@ ids dense 0..V-1, no empty tokens.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, List, Optional
 
@@ -69,20 +70,37 @@ def load_vocabulary(path) -> Vocabulary:
 def build_toy_vocabulary(corpus: Iterable[str], merges: int = 200,
                          max_len: int = 6) -> Vocabulary:
     """256 single-byte tokens plus the most frequent multi-byte substrings
-    of the corpus, for tractable brute-force testing."""
-    counts: Counter = Counter()
-    for text in corpus:
-        data = text.encode("utf-8")
-        for n in range(2, max_len + 1):
-            for i in range(len(data) - n + 1):
-                counts[data[i:i + n]] += 1
-    # deterministic: by descending count, then by the bytes themselves
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    of the corpus, for tractable brute-force testing: at most ``merges`` of
+    the substrings of 2 to ``max_len`` bytes seen at least twice, by
+    descending count, then by the bytes themselves.
+
+    Substrings are counted one length at a time.  A substring seen twice
+    starts with a substring one byte shorter seen twice, so length n is
+    counted only where a kept substring of length n - 1 starts."""
+    docs = [text.encode("utf-8") for text in corpus]
+    starts = [range(len(data) - 1) for data in docs]  # every 2-byte substring
+    kept: list = []  # (substring, count) pairs, every count at least 2
+    for n in range(2, max_len + 1):
+        grams = [[data[i:i + n] for i in pos] for data, pos in zip(docs, starts)]
+        counts: Counter = Counter()
+        for gs in grams:
+            counts.update(gs)
+        level = [(g, c) for g, c in counts.items() if c >= 2]
+        if not level:
+            break
+        kept += level
+        frequent = {g for g, _ in level}
+        nxt = []
+        for data, pos, gs in zip(docs, starts, grams):
+            keep = [i for i, g in zip(pos, gs) if g in frequent]
+            if keep and keep[-1] + n == len(data):
+                keep.pop()  # no room for a byte more
+            nxt.append(keep)
+        starts = nxt
+    # the substrings are distinct, so the first sort orders by bytes and the
+    # stable second one by descending count, keeping bytes order among ties
+    kept.sort()
+    kept.sort(key=itemgetter(1), reverse=True)
     tokens = [bytes([b]) for b in range(256)]
-    for tok, cnt in ranked:
-        if len(tokens) >= 256 + merges:
-            break
-        if cnt < 2:
-            break
-        tokens.append(tok)
+    tokens += [g for g, _ in kept[:max(merges, 0)]]
     return Vocabulary(tokens)

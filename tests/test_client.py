@@ -2,11 +2,13 @@
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
-from toonbench.client import (ApiError, ChatRequest, HttpClient,
+from toonbench.client import (MAX_RETRY_AFTER, ApiError, ChatRequest, HttpClient,
                               ScriptExhausted, ScriptedClient, ScriptedTurn,
                               TransportError, estimate_tokens)
 
@@ -59,7 +61,7 @@ def test_scripted_client_exhaustion():
 
 
 class _Handler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload_dict_or_text)
+    script = []  # list of (status, payload_dict_or_text[, extra_headers])
     seen = []
 
     def do_POST(self):
@@ -67,12 +69,14 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(n))
         type(self).seen.append((self.path, body,
                                 self.headers.get("Authorization")))
-        status, payload = type(self).script.pop(0)
+        status, payload, *extra = type(self).script.pop(0)
         data = (json.dumps(payload) if isinstance(payload, dict)
                 else payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -85,12 +89,15 @@ def server():
     _Handler.script = []
     _Handler.seen = []
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting half a second per test
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{httpd.server_address[1]}"
     finally:
         httpd.shutdown()
+        httpd.server_close()
 
 
 def _ok_payload(content="hello", usage=True):
@@ -175,6 +182,74 @@ def test_http_retry_exhaustion_raises(server):
     with pytest.raises(ApiError) as ei:
         HttpClient(server, retries=2, backoff=0.01).complete(REQ)
     assert ei.value.status == 503
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The client's sleeps, recorded instead of slept."""
+    seen = []
+    monkeypatch.setattr(time, "sleep", seen.append)
+    return seen
+
+
+@pytest.mark.parametrize("status, retry_after, wait", [
+    (429, "2", 2),
+    (503, "0", 0),
+    (503, "999", MAX_RETRY_AFTER),
+])
+def test_http_retry_after_sets_the_wait(server, waits, status, retry_after, wait):
+    _Handler.script = [(status, "busy", {"Retry-After": retry_after}),
+                       (200, _ok_payload())]
+    assert HttpClient(server, backoff=5.0).complete(REQ).content == "hello"
+    assert waits == [wait]
+
+
+@pytest.mark.parametrize("retry_after", [
+    "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-1", "1.5", "", "\u00b2"])
+def test_http_date_or_malformed_retry_after_falls_back_to_backoff(server, waits,
+                                                                  retry_after):
+    _Handler.script = [(429, "busy", {"Retry-After": retry_after}),
+                       (200, _ok_payload())]
+    HttpClient(server, backoff=4.0).complete(REQ)
+    assert len(waits) == 1 and 2.0 <= waits[0] <= 4.0
+
+
+def test_http_retry_after_holds_for_one_attempt_only(server, waits):
+    _Handler.script = [(429, "busy", {"Retry-After": "7"}), (503, "down"),
+                       (200, _ok_payload())]
+    HttpClient(server, backoff=4.0).complete(REQ)
+    assert waits[0] == 7 and 4.0 <= waits[1] <= 8.0
+
+
+def test_http_retry_after_is_not_carried_past_a_transport_error(server, waits):
+    client = HttpClient(server, backoff=4.0)
+    post = client._session.post
+    calls = []
+
+    def flaky_post(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise requests.ConnectionError("reset")
+        return post(*args, **kwargs)
+
+    client._session.post = flaky_post
+    _Handler.script = [(429, "busy", {"Retry-After": "1"}), (200, _ok_payload())]
+    assert client.complete(REQ).content == "hello"
+    assert waits[0] == 1 and 4.0 <= waits[1] <= 8.0
+
+
+def test_http_backoff_is_jittered_within_half_to_full(server, waits):
+    retries = 5
+    for _ in range(4):
+        _Handler.script = [(503, "down")] * (retries + 1)
+        with pytest.raises(ApiError):
+            HttpClient(server, retries=retries, backoff=1.0).complete(REQ)
+    assert len(waits) == 4 * retries
+    for k, wait in enumerate(waits):
+        full = 2.0 ** (k % retries)
+        assert full / 2 <= wait <= full
+    # drawn, not fixed at either end
+    assert len({w / 2.0 ** (k % retries) for k, w in enumerate(waits)}) > 1
 
 
 def test_http_connection_refused_is_transport_error():

@@ -4,6 +4,8 @@ import gc
 import itertools
 import random
 import sys
+from collections import Counter
+from typing import Iterable
 
 import pytest
 from conftest import random_document
@@ -19,7 +21,7 @@ from toonbench.mask import json_machine, toon_machine
 from toonbench.mask.engine import advance_bytes, step_byte
 from toonbench.schemas import (ArrayType, IntType, ObjectType, StrType,
                                validate)
-from toonbench.toon import _NUM_RE, encode_toon, parse_toon
+from toonbench.toon import _NUM_RE, ToonError, encode_toon, parse_toon
 from toonbench.values import (DuplicateKeyError, JsonParseError, emit_canonical_json,
                               parse_json)
 
@@ -64,6 +66,85 @@ def test_shipped_vocab_matches_gold_corpus(cases, vocab):
     corpus = [encode_toon(c.gold) for c in cases]
     corpus += [emit_canonical_json(c.gold) for c in cases]
     assert build_toy_vocabulary(corpus).tokens == vocab.tokens
+
+
+def reference_toy_vocabulary(corpus: Iterable[str], merges: int = 200,
+                             max_len: int = 6) -> Vocabulary:
+    """256 single-byte tokens plus the most frequent multi-byte substrings
+    of the corpus, for tractable brute-force testing."""
+    counts: Counter = Counter()
+    for text in corpus:
+        data = text.encode("utf-8")
+        for n in range(2, max_len + 1):
+            for i in range(len(data) - n + 1):
+                counts[data[i:i + n]] += 1
+    # deterministic: by descending count, then by the bytes themselves
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    tokens = [bytes([b]) for b in range(256)]
+    for tok, cnt in ranked:
+        if len(tokens) >= 256 + merges:
+            break
+        if cnt < 2:
+            break
+        tokens.append(tok)
+    return Vocabulary(tokens)
+
+
+def _random_corpus(seed: int, docs: int) -> list:
+    rng = random.Random(seed)
+    values = [random_document(rng, 3) for _ in range(docs)]
+    return [encode_toon(d) for d in values] + [emit_canonical_json(d) for d in values]
+
+
+def _assert_builds_like_reference(corpus, merges, max_len):
+    want = reference_toy_vocabulary(corpus, merges=merges, max_len=max_len).tokens
+    assert build_toy_vocabulary(corpus, merges=merges, max_len=max_len).tokens == want
+    return want
+
+
+_MERGES = [-3, 0, 1, 200, 2000, 10**6]  # the last is more than any corpus here holds
+_MAX_LENS = [0, 1, 2, 6, 10]
+
+
+@pytest.mark.parametrize("merges", _MERGES)
+@pytest.mark.parametrize("max_len", _MAX_LENS)
+def test_toy_vocabulary_matches_the_reference_on_the_gold_corpus(cases, merges, max_len):
+    corpus = [encode_toon(c.gold) for c in cases]
+    corpus += [emit_canonical_json(c.gold) for c in cases]
+    _assert_builds_like_reference(corpus, merges, max_len)
+
+
+@pytest.mark.parametrize("merges", _MERGES)
+@pytest.mark.parametrize("max_len", _MAX_LENS)
+def test_toy_vocabulary_matches_the_reference_on_random_corpora(merges, max_len):
+    corpus = _random_corpus(3, 40)
+    tokens = _assert_builds_like_reference(corpus, merges, max_len)
+    if merges >= 2000 and max_len >= 2:
+        # multi-byte characters ("é", "π") became tokens of their own
+        assert "é".encode() in tokens and "π".encode() in tokens
+
+
+def test_toy_vocabulary_matches_the_reference_at_30k_merges():
+    corpus = _random_corpus(11, 150)
+    tokens = _assert_builds_like_reference(corpus, 30_000, 10)
+    assert len(tokens) == 256 + 30_000
+
+
+@pytest.mark.parametrize("corpus", [[], [""], ["", "", ""], ["a"], ["ab", "ab"]])
+def test_toy_vocabulary_matches_the_reference_on_degenerate_corpora(corpus):
+    for merges in _MERGES:
+        for max_len in _MAX_LENS:
+            _assert_builds_like_reference(corpus, merges, max_len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=st.lists(st.text(alphabet="abc", max_size=30), max_size=6),
+       merges=st.sampled_from(_MERGES), max_len=st.sampled_from(_MAX_LENS))
+def test_toy_vocabulary_matches_the_reference_on_tied_overlapping_texts(corpus, merges,
+                                                                        max_len):
+    """Three letters force count ties and self-overlapping substrings such
+    as ``aaaa``."""
+    _assert_builds_like_reference(corpus, merges, max_len)
 
 
 # -- states and stepping -----------------------------------------------------
@@ -198,6 +279,43 @@ def test_toon_list_item_key_of_max_length_still_opens_an_object():
     for key in (b"k" * toon_machine.MAX_KEY, b'"' + b"k" * toon_machine.MAX_KEY + b'"'):
         text = b"a[1]:\n  - " + key + b": 1\n    b: 2\n"
         assert is_accepting(advance_bytes(init_state("toon"), text))
+
+
+_TAGS = ObjectType((("tags", ArrayType(StrType())),))
+
+
+@pytest.mark.parametrize("schema, doc", [
+    (None, b"a[1]:\n  - :x: 1\n"),  # an empty key before the first ':'
+    (_TAGS, b"tags[2]:\n  - a: b\n  - :x\n"),  # an object item, then an empty key
+    (_TAGS, b"tags[1]:\n  - a: b\n"),  # an object where a string is owed
+    (_TAGS, b"tags[1]:\n  - a[2\n"),  # an array header with no count
+    (_TAGS, b"tags[1]:\n  - :x\n"),  # an empty key
+    (_TAGS, b"tags[1]:\n  - [\n"),  # an array header where a string is owed
+])
+def test_toon_list_item_the_parser_splits_at_a_colon_is_refused(schema, doc):
+    """The parser reads a bare list item that holds ':' or '[' as a key and
+    what follows it, so the automaton refuses what would not parse back as
+    the scalar it took."""
+    try:
+        root = parse_toon(doc.decode()).root
+    except ToonError:
+        pass
+    else:
+        assert schema is not None and validate(root, schema)
+    with pytest.raises(RejectError):
+        advance_bytes(init_state("toon", schema), doc)
+
+
+@pytest.mark.parametrize("schema, doc", [
+    (None, {"a": [":x"]}),
+    (_TAGS, {"tags": ["a: b", ":x", "a[2", "x]", "[", "- a", "a,b"]}),
+])
+def test_toon_list_item_strings_with_a_colon_are_accepted_quoted(schema, doc):
+    text = encode_toon(doc)
+    assert parse_toon(text).root == doc
+    assert is_accepting(advance_bytes(init_state("toon", schema), text.encode()))
+    # a key's value may still hold them bare
+    assert is_accepting(advance_bytes(init_state("toon"), b"k: a: b[2\n"))
 
 
 def test_json_unicode_escape_counts_toward_the_key_length():
@@ -388,8 +506,14 @@ def test_run_declarations_are_inductive(cases):
     accepted, which is what the mask's closures rely on."""
     rng = random.Random(41)
     docs = [random_document(rng, 3) for _ in range(30)] + _long_key_documents()
+    states = _reached_states(cases, docs)
+    # bare schema list items, which hold no ':' or '['
+    st = init_state("toon", _TAGS)
+    for b in encode_toon({"tags": ["a b", "x,y", "a: b", "1"]}).encode():
+        st = step_byte(st, b)
+        states.add(st)
     declared = set()
-    for st in _reached_states(cases, docs):
+    for st in states:
         run = _run(st)
         if run is None or run[1] < 1:
             continue
