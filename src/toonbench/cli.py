@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .harness import ConfigError, load_config, run_benchmark
-from .mask import (DeadEndError, advance, allowed_mask, constrained_generate,
+from .mask import (DeadEndError, allowed_mask, constrained_generate,
                    init_state, load_vocabulary, UnsupportedSchemaError)
 from .mask.engine import cache_stats
 from .report import SchemaError, emit_report

@@ -20,12 +20,12 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .client import (ApiError, ChatRequest, ChatResponse, ScriptedClient,
-                     TransportError, estimate_tokens)
+from .client import (ApiError, ChatRequest, ChatResponse, TransportError,
+                     estimate_tokens)
 from .prompts import TRACKS, render_prompt, render_repair_prompt
 from .schemas import CaseSpec, CASE_NAMES, builtin_cases, validate
 from .toon import ToonError, encode_toon, extract_toon_block, parse_toon

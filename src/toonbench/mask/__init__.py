@@ -7,7 +7,6 @@ from .engine import (
     RejectError,
     DeadEndError,
     UnsupportedSchemaError,
-    EOS,
     init_state,
     advance,
     allowed_mask,
@@ -25,7 +24,6 @@ __all__ = [
     "RejectError",
     "DeadEndError",
     "UnsupportedSchemaError",
-    "EOS",
     "init_state",
     "advance",
     "allowed_mask",

@@ -12,8 +12,6 @@ from typing import Callable, Optional, Sequence
 from . import json_machine, toon_machine
 from .vocab import TrieNode, Vocabulary
 
-EOS = -1  # virtual end-of-sequence token id used by constrained_generate
-
 
 class RejectError(ValueError):
     def __init__(self, byte_offset: int, reason: str):

@@ -9,17 +9,14 @@ key length are bounded.
 from __future__ import annotations
 
 import math
+from json.decoder import BACKSLASH
+
+from . import keys
+from .keys import CLOSED
 
 MAX_DEPTH = 16
-MAX_KEY = 64
 
 _WS = frozenset((0x20, 0x09, 0x0A, 0x0D))
-_HEX = frozenset(b"0123456789abcdefABCDEF")
-# The character each escape after a backslash stands for in a key.
-_UNESCAPE = {0x22: '"', 0x5C: "\\", 0x2F: "/", 0x62: "\b", 0x66: "\f",
-             0x6E: "\n", 0x72: "\r", 0x74: "\t"}
-# Byte classes of the run declarations (see ``run``).
-_TEXT = frozenset(range(0x20, 0x7F)) - frozenset(b'"\\')  # no escape pending
 
 _EMPTY = frozenset()
 
@@ -50,11 +47,9 @@ def initial():
     # micro tags:
     #   start      expect '{' (no leading whitespace)
     #   k / k1     expect key ('k1' also allows '}')
-    #   ks         inside a key string (text, esc, uleft); while uleft hex
-    #              digits of a \u escape remain, esc holds their value so far
+    #   ks / s     inside a key or value string (lex), lexed by keys.quoted
     #   col        expect ':'
     #   v / v1     expect a value ('v1' also allows ']')
-    #   s          inside a value string (esc, uleft)
     #   num        inside a number (dfa state)
     #   lit        inside true/false/null (word, pos)
     #   e          after a value, expect ',' or close
@@ -77,9 +72,7 @@ def run(state):
     micro = state[1]
     tag = micro[0]
     if tag == "ks" or tag == "s":
-        if micro[-1] or micro[-2]:  # an escape is pending
-            return None
-        return (_TEXT, MAX_KEY - 1 - len(micro[1]) if tag == "ks" else math.inf)
+        return keys.run(*micro[1])
     if tag == "num":
         # digits extend an integer, a fraction or an exponent
         return (_DIGIT_BYTES, math.inf) if micro[1] in ("i", "f", "x") else None
@@ -88,12 +81,9 @@ def run(state):
     return None
 
 
-def _key_text(stack, text):
-    """State inside a key string with ``text`` read, or None when the text is
-    longer than MAX_KEY, or MAX_KEY long and taken: no byte could end it."""
-    if len(text) >= MAX_KEY and (len(text) > MAX_KEY or text in stack[-1][1]):
-        return None
-    return (stack, ("ks", text, 0, 0))
+def _taken(stack, cont):
+    """The keys of the object being read, which its next key may not repeat."""
+    return stack[-1][1]
 
 
 def _after_value(stack):
@@ -118,6 +108,16 @@ def step(state, b: int):
     stack, micro = state
     tag = micro[0]
 
+    # strings first: most steps are inside one
+    if tag == "ks" or tag == "s":
+        lex = micro[1]
+        nxt = keys.quoted(lex, b, BACKSLASH, _taken, stack, None)
+        if nxt is not CLOSED:
+            return None if nxt is None else (stack, micro if nxt is lex else (tag, nxt))
+        if tag == "s":
+            return _after_value(stack)
+        return (stack[:-1] + (("o", stack[-1][1] | {lex[0]}),), ("col",))
+
     if tag == "start":
         if b == 0x7B:  # '{'
             return ((("o", _EMPTY),), ("k1",))
@@ -130,37 +130,9 @@ def step(state, b: int):
         if b in _WS:
             return (stack, micro)
         if b == 0x22:
-            return (stack, ("ks", "", 0, 0))
+            return (stack, ("ks", keys.KEY))
         if tag == "k1" and b == 0x7D:
             return _close(stack, b)
-        return None
-
-    if tag == "ks":
-        # the key text is kept decoded, so the duplicate check compares keys
-        # as a parser reads them; a \u escape counts as one character
-        text, esc, uleft = micro[1], micro[2], micro[3]
-        if uleft:
-            if b in _HEX:
-                esc = esc * 16 + int(chr(b), 16)
-                if uleft > 1:
-                    return (stack, ("ks", text, esc, uleft - 1))
-                return _key_text(stack, text + chr(esc))
-            return None
-        if esc:
-            if b == 0x75:
-                return (stack, ("ks", text, 0, 4))
-            ch = _UNESCAPE.get(b)
-            return None if ch is None else _key_text(stack, text + ch)
-        if b == 0x22:
-            top = stack[-1]
-            if text in top[1]:
-                return None
-            stack = stack[:-1] + (("o", top[1] | {text}),)
-            return (stack, ("col",))
-        if b == 0x5C:
-            return (stack, ("ks", text, 1, 0)) if len(text) < MAX_KEY else None
-        if 0x20 <= b <= 0x7E:
-            return _key_text(stack, text + chr(b))
         return None
 
     if tag == "col":
@@ -184,7 +156,7 @@ def step(state, b: int):
                 return None
             return (stack + (("a",),), ("v1",))
         if b == 0x22:
-            return (stack, ("s", 0, 0))
+            return (stack, ("s", keys.VALUE))
         if b == 0x74:  # 't'
             return (stack, ("lit", "true", 1))
         if b == 0x66:  # 'f'
@@ -193,23 +165,6 @@ def step(state, b: int):
             return (stack, ("lit", "null", 1))
         st = _num_step("", b)
         return None if st is None else (stack, ("num", st))
-
-    if tag == "s":
-        esc, uleft = micro[1], micro[2]
-        if uleft:
-            if b in _HEX:
-                return (stack, ("s", 0, uleft - 1)) if uleft > 1 else (stack, ("s", 0, 0))
-            return None
-        if esc:
-            if b == 0x75:
-                return (stack, ("s", 0, 4))
-            return (stack, ("s", 0, 0)) if b in _UNESCAPE else None
-        if b == 0x22:
-            s2, m2 = _after_value(stack)
-            return (s2, m2)
-        if b == 0x5C:
-            return (stack, ("s", 1, 0))
-        return (stack, ("s", 0, 0)) if 0x20 <= b <= 0x7E else None
 
     if tag == "lit":
         word, pos = micro[1], micro[2]

@@ -4,7 +4,9 @@ States are nested tuples ``(started, stack, line)`` and therefore hashable;
 ``step`` returns a new state or ``None`` on rejection.  The recognized
 language is a slight restriction of what :func:`toonbench.toon.parse_toon`
 accepts (ASCII content, bounded identifiers/counts/nesting), so every byte
-string accepted here parses.
+string accepted here parses.  Quoted strings and key text are lexed by
+:mod:`.keys` with the parser's escapes, ``toon._ESCAPES``, so a key is
+decoded (``\\uXXXX`` included) and compared as the parser reads it.
 
 With a schema the machine additionally pins key names and order (schema
 declaration order), array layouts, and scalar lexeme shapes, so accepted
@@ -29,10 +31,13 @@ from __future__ import annotations
 
 import math
 
+from .. import toon
 from ..schemas import ArrayType, BoolType, FloatType, IntType, ObjectType, StrType
+from ..toon import _ESCAPES
+from . import keys
+from .keys import CLOSED, MAX_KEY, PRINTABLE
 
 MAX_DEPTH = 16
-MAX_KEY = 64
 MAX_COUNT_DIGITS = 3
 MAX_INT_DIGITS = 19
 
@@ -42,16 +47,11 @@ SP = 0x20
 NL = 0x0A
 
 _DIGITS = b"0123456789"
-_KEY_START = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" + _DIGITS + b"_")
-_KEY_CHARS = _KEY_START | frozenset(b".-")
-_HEX = frozenset(_DIGITS + b"abcdefABCDEF")
+_KEY_START = frozenset(toon._KEY_START.encode())
+_KEY_CHARS = frozenset(toon._KEY_CHARS.encode())
 # Byte classes of the run declarations (see ``run``).
-_PRINTABLE = frozenset(range(0x20, 0x7F))
-_TEXT = _PRINTABLE - frozenset(b'"\\')  # quoted text, no escape pending
-_CELL = _PRINTABLE - frozenset(b",")  # bare cell text
-_ITEM = _PRINTABLE - frozenset(b":[")  # a list item's bare first token
-# Escapes after a backslash, and the character each stands for in a key.
-_UNESCAPE = {0x22: '"', 0x5C: "\\", 0x2F: "/", 0x6E: "\n", 0x74: "\t", 0x72: "\r"}
+_CELL = PRINTABLE - frozenset(b",")  # bare cell text
+_ITEM = PRINTABLE - frozenset(b":[")  # a list item's bare first token
 
 
 def _scalar_schema(s) -> bool:
@@ -168,18 +168,14 @@ def run(state):
     line = state[2]
     tag = line[0]
     if tag == "q":
-        if line[3]:
-            return None
-        chars = line[2]
-        if chars is None or line[1] == _IQE:
-            return (_TEXT, math.inf)
-        return (_TEXT, MAX_KEY - 1 - len(chars))
+        text, esc = line[2]
+        return keys.run(None if line[1] == _IQE else text, esc)
     if tag == "key":
-        return (_KEY_CHARS, MAX_KEY - 1 - len(line[2]))
+        return (_KEY_CHARS, keys.budget(line[2]))
     if tag == "bval" or tag == "sb":
         ctx = line[-1]
         if ctx is None:
-            return (_PRINTABLE, math.inf)
+            return (PRINTABLE, math.inf)
         return (_ITEM if ctx == _LIST_ITEM else _CELL, math.inf)
     if tag == "ib":
         return (_ITEM, math.inf)
@@ -244,7 +240,7 @@ def _dispatch(stack, b):
     tag = frame[0]
     if tag == "obj":
         if b == 0x22:
-            return (True, stack, ("q", _KEYEND, "", 0))
+            return (True, stack, ("q", _KEYEND, keys.KEY))
         if b in _KEY_START:
             return (True, stack, ("key", _KEYEND, chr(b)))
         return None
@@ -258,79 +254,39 @@ def _dispatch(stack, b):
     return _begin_value(stack, frame[3][0], 0, b)
 
 
-def _key_taken(stack, cont, key) -> bool:
-    """Whether ``key``, closed into ``cont``, repeats a key of the top object
-    (``keyend``) or a name of the tabular header being read (``hqe``).  A
-    list item's first key (``iqe``) opens an object of its own."""
+def _taken(stack, cont):
+    """The keys that a key closed into ``cont`` may not repeat: those of the
+    top object (``keyend``) or the names of the tabular header being read
+    (``hqe``).  A list item's first key (``iqe``) opens an object of its own."""
     tag = cont[0]
     if tag == "keyend":
-        return key in stack[-1][2]
-    return tag == "hqe" and key in cont[2]
-
-
-def _key_fits(stack, cont, chars) -> bool:
-    """Whether ``chars`` may be the text of a key being read: at most MAX_KEY
-    characters, and not taken at MAX_KEY, where no byte could end it."""
-    return len(chars) < MAX_KEY or (len(chars) == MAX_KEY
-                                    and not _key_taken(stack, cont, chars))
+        return stack[-1][2]
+    return cont[2] if tag == "hqe" else _EMPTY
 
 
 def _quoted(stack, line, b):
-    """Inside a quoted string.  ``chars`` is the text so far for a key, kept
-    (at most MAX_KEY characters, no ``\\u`` escapes), or None for a value or
-    cell, dropped (``\\u`` plus 4 hex digits allowed).  ``esc`` is 0 in plain
-    text, 1 after a backslash, and -k while k hex digits of a ``\\u`` escape
-    remain.  The closing quote enters ``cont``, with a key's text appended;
-    it is refused for a key that is taken, and a backslash for a key that
-    has no room left.  A list item's first token (``iqe``) that can no
-    longer be a key goes on as a scalar item instead."""
-    _, cont, chars, esc = line
-    if esc == 0:
-        if b == NL:
-            return None
-        if chars is None:
-            if b == 0x22:
-                return (True, stack, cont)
-            return (True, stack, ("q", cont, None, 1) if b == 0x5C else line)
-        if b == 0x22:
-            return None if _key_taken(stack, cont, chars) else (True, stack, cont + (chars,))
-        if b == 0x5C:
-            fits = len(chars) < MAX_KEY or cont == _IQE
-            return (True, stack, ("q", cont, chars, 1)) if fits else None
-        return _key_text(stack, cont, chars + chr(b))
-    if esc == 1:
-        if b in _UNESCAPE:
-            if chars is None:
-                return (True, stack, ("q", cont, None, 0))
-            return _key_text(stack, cont, chars + _UNESCAPE[b])
-        if b == 0x75:
-            if chars is None:
-                return (True, stack, ("q", cont, None, -4))
-            if cont == _IQE:
-                return (True, stack, ("q", _IQV, None, -4))
-        return None
-    if b in _HEX:
-        return (True, stack, ("q", cont, None, esc + 1))
-    return None
-
-
-def _key_text(stack, cont, chars):
-    """Quoted key text grown to ``chars``; past MAX_KEY characters a list
-    item's first token goes on as a scalar."""
-    if _key_fits(stack, cont, chars):
-        return (True, stack, ("q", cont, chars, 0))
-    return (True, stack, ("q", _IQV, None, 0)) if cont == _IQE else None
+    """Inside a quoted string, lexed by ``keys.quoted``.  The closing quote
+    enters ``cont``, with a key's text appended.  A list item's first token
+    (``iqe``) that can no longer be a key goes on as a scalar item: the byte
+    is read again in a value.  Any other key is refused."""
+    _, cont, lex = line
+    nxt = keys.quoted(lex, b, _ESCAPES, _taken, stack, cont)
+    if nxt is None:
+        return _quoted(stack, ("q", _IQV, (None, lex[1])), b) if cont == _IQE else None
+    if nxt is CLOSED:
+        return (True, stack, cont if lex[0] is None else cont + (lex[0],))
+    return (True, stack, line if nxt is lex else ("q", cont, nxt))
 
 
 def _bare_key(stack, line, b):
     """Bare key ``[A-Za-z0-9_.-]``, at most MAX_KEY characters; its first
     byte was checked on entry.  The first byte that cannot extend it goes to
     the continuation ``cont``, with the key appended."""
-    _, cont, chars = line
+    _, cont, text = line
     if b in _KEY_CHARS:
-        chars += chr(b)
-        return (True, stack, ("key", cont, chars)) if _key_fits(stack, cont, chars) else None
-    return _HANDLERS[cont[0]](stack, cont + (chars,), b)
+        text = keys.grow(text, chr(b), _taken, stack, cont)
+        return None if text is None else (True, stack, ("key", cont, text))
+    return _HANDLERS[cont[0]](stack, cont + (text,), b)
 
 
 def _finish_key(stack, key, b, item=False):
@@ -344,10 +300,10 @@ def _finish_key(stack, key, b, item=False):
         stack = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
         if stack is None:
             return None
-    _, col, keys = stack[-1]
-    if key in keys:
+    _, col, seen = stack[-1]
+    if key in seen:
         return None
-    stack = stack[:-1] + (("obj", col, keys | {key}),)
+    stack = stack[:-1] + (("obj", col, seen | {key}),)
     if b == 0x3A:
         return (True, stack, _VAL0)
     # the array frame must fit as well
@@ -433,7 +389,7 @@ def _header_start(stack, line, b):
     """Start of an unconstrained tabular header name; the name is lexed as
     a key and then handed to ``hqe``."""
     if b == 0x22:
-        return (True, stack, ("q", ("hqe",) + line[1:], "", 0))
+        return (True, stack, ("q", ("hqe",) + line[1:], keys.KEY))
     if b in _KEY_START:
         return (True, stack, ("key", ("hqe",) + line[1:], chr(b)))
     return None
@@ -518,7 +474,7 @@ def _item_start(stack, line, b):
             return None
         return (True, stack, ("cnt", "u", 0, 0, stack[-1][1] + 4))
     if b == 0x22:
-        return (True, stack, ("q", _IQE, "", 0))
+        return (True, stack, ("q", _IQE, keys.KEY))
     # a leading ':' would end an empty key
     if b == SP or b == NL or b == 0x3A:
         return None
@@ -558,7 +514,7 @@ def _begin_value(stack, fs, ctx, b):
     read a key."""
     if fs is None or isinstance(fs, StrType):
         if b == 0x22:
-            return (True, stack, ("q", ("sqe", ctx), None, 0))
+            return (True, stack, ("q", ("sqe", ctx), keys.VALUE))
         # no leading space, and no empty cell
         if b == SP or b == NL or (b == 0x2C and type(ctx) is int):
             return None
@@ -654,8 +610,8 @@ def _quoted_value_end(stack, line, b):
 
 _HANDLERS = {
     "ind": _indent,  # (n): n spaces of indent so far
-    "key": _bare_key,  # (cont, chars)
-    "q": _quoted,  # (cont, chars, esc)
+    "key": _bare_key,  # (cont, text)
+    "q": _quoted,  # (cont, lex): lex is keys.quoted's (text, esc)
     "keyend": _key_end,  # (key): object key read
     "skey": _schema_key,  # (pos): schema key spelled up to pos
     "sp": _space,  # (fs): the space after a schema scalar key's ':'

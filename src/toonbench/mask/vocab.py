@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 
 class TrieNode:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .toon import _INT_RE, _NUM_RE, encode_toon
 from .values import Value, emit_canonical_json, format_path
@@ -46,8 +46,6 @@ class ArrayType:
 
 
 Schema = Union[IntType, FloatType, StrType, BoolType, ObjectType, ArrayType]
-
-SCALAR_KINDS = ("int", "float", "str", "bool")
 
 
 @dataclass(frozen=True)

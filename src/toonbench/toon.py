@@ -56,8 +56,10 @@ class ToonDocument:
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _NUM_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 # Keys and tabular header names: bare where the automaton's key lexer takes
-# them, quoted otherwise.
-_BARE_KEY_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*\Z")
+# them, one of _KEY_START and then any of _KEY_CHARS, and quoted otherwise.
+_KEY_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+_KEY_CHARS = _KEY_START + ".-"
+_BARE_KEY_RE = re.compile(f"[{re.escape(_KEY_START)}][{re.escape(_KEY_CHARS)}]*\\Z")
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r", "/": "/"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}

@@ -17,7 +17,7 @@ from toonbench.mask import (DeadEndError, RejectError, UnsupportedSchemaError,
                             build_toy_vocabulary, constrained_generate,
                             init_state, is_accepting, load_vocabulary,
                             save_vocabulary)
-from toonbench.mask import json_machine, toon_machine
+from toonbench.mask import json_machine, keys, toon_machine
 from toonbench.mask.engine import advance_bytes, step_byte
 from toonbench.schemas import (ArrayType, IntType, ObjectType, StrType,
                                validate)
@@ -241,12 +241,18 @@ def test_toon_duplicate_quoted_key_refused_at_its_closing_quote():
     assert step_byte(st, ord("y")) is not None
 
 
-def test_toon_backslash_refused_in_a_full_quoted_key():
+# How a quoted key opens and how its line ends, per mode.
+_KEY_OPEN = {"toon": b'"', "json": b'{"'}
+_KEY_CLOSE = {"toon": b'": 1\n', "json": b'": 1}'}
+
+
+@pytest.mark.parametrize("mode", ["toon", "json"])
+def test_backslash_refused_in_a_full_quoted_key(mode):
     # with MAX_KEY characters read, no escape fits any more
-    st = advance_bytes(init_state("toon"), b'"' + b"a" * toon_machine.MAX_KEY)
+    st = advance_bytes(init_state(mode), _KEY_OPEN[mode] + b"a" * keys.MAX_KEY)
     assert _legal_bytes(st) == {ord('"')}
-    st = advance_bytes(init_state("toon"), b'"' + b"a" * (toon_machine.MAX_KEY - 1))
-    assert is_accepting(advance_bytes(st, b'\\n": 1\n'))
+    st = advance_bytes(init_state(mode), _KEY_OPEN[mode] + b"a" * (keys.MAX_KEY - 1))
+    assert is_accepting(advance_bytes(st, b"\\n" + _KEY_CLOSE[mode]))
 
 
 @pytest.mark.parametrize("doc", [
@@ -263,11 +269,10 @@ def test_toon_list_item_scalar_longer_than_a_key_is_accepted(doc):
 @pytest.mark.parametrize("token", [
     b"k" * (toon_machine.MAX_KEY + 1),
     b'"' + b"k" * (toon_machine.MAX_KEY + 1) + b'"',
-    b'"\\u0041"',
 ])
 def test_toon_list_item_that_cannot_be_a_key_ends_only_as_a_scalar(token):
-    """A list item's first token past MAX_KEY characters, or with a \\u
-    escape, can no longer be a key: ':' is refused and NL ends the item."""
+    """A list item's first token past MAX_KEY characters can no longer be a
+    key: ':' is refused and NL ends the item."""
     st = advance_bytes(init_state("toon"), b"a[1]:\n  - " + token)
     assert step_byte(st, ord(":")) is None and step_byte(st, ord("[")) is None
     text = b"a[1]:\n  - " + token + b"\n"
@@ -276,9 +281,11 @@ def test_toon_list_item_that_cannot_be_a_key_ends_only_as_a_scalar(token):
 
 
 def test_toon_list_item_key_of_max_length_still_opens_an_object():
-    for key in (b"k" * toon_machine.MAX_KEY, b'"' + b"k" * toon_machine.MAX_KEY + b'"'):
+    for key in (b"k" * toon_machine.MAX_KEY, b'"' + b"k" * toon_machine.MAX_KEY + b'"',
+                b'"\\u0041"'):  # a \u escape decodes into the key
         text = b"a[1]:\n  - " + key + b": 1\n    b: 2\n"
         assert is_accepting(advance_bytes(init_state("toon"), text))
+        assert parse_toon(text.decode()).root["a"][0]["b"] == 2
 
 
 _TAGS = ObjectType((("tags", ArrayType(StrType())),))
@@ -318,37 +325,77 @@ def test_toon_list_item_strings_with_a_colon_are_accepted_quoted(schema, doc):
     assert is_accepting(advance_bytes(init_state("toon"), b"k: a: b[2\n"))
 
 
-def test_json_unicode_escape_counts_toward_the_key_length():
-    key = b"a" * json_machine.MAX_KEY
+@pytest.mark.parametrize("mode", ["toon", "json"])
+def test_unicode_escape_counts_toward_the_key_length(mode):
+    key = b"a" * keys.MAX_KEY
     with pytest.raises(RejectError):
-        advance_bytes(init_state("json"), b'{"' + key + b'\\u0041\\u0042')
-    st = advance_bytes(init_state("json"), b'{"' + key)
+        advance_bytes(init_state(mode), _KEY_OPEN[mode] + key + b"\\u0041\\u0042")
+    st = advance_bytes(init_state(mode), _KEY_OPEN[mode] + key)
     assert _legal_bytes(st) == {ord('"')}
-    ok = advance_bytes(init_state("json"), b'{"' + key[1:] + b'\\u0041": 1}')
+    ok = advance_bytes(init_state(mode), _KEY_OPEN[mode] + key[1:] + b"\\u0041" + _KEY_CLOSE[mode])
     assert is_accepting(ok)
 
 
-@pytest.mark.parametrize("doc, unique", [
-    (b'{"\\u0041": 1, "\\u0042": 2}', True),
-    (b'{"n": 1, "\\n": 2}', True),
-    (b'{"?": 1, "\\u003F": 2}', False),
-    (b'{"A": 1, "\\u0041": 2}', False),
-    (b'{"/": 1, "\\/": 2}', False),
-])
-def test_json_key_escapes_are_decoded_for_the_duplicate_check(doc, unique):
-    """The automaton refuses a key exactly when the parser reads it as a
-    repeat."""
+def _parse(mode, data: bytes):
+    """The value the mode's parser reads from ``data``, or None where it
+    refuses it."""
     try:
-        parse_json(doc.decode())
-        parses = True
-    except DuplicateKeyError:
-        parses = False
-    assert parses == unique
+        if mode == "toon":
+            return parse_toon(data.decode()).root
+        return parse_json(data.decode())
+    except (ToonError, JsonParseError, DuplicateKeyError):
+        return None
+
+
+@pytest.mark.parametrize("mode, doc, names", [
+    ("json", b'{"\\u0041": 1, "\\u0042": 2}', ["A", "B"]),
+    ("json", b'{"n": 1, "\\n": 2}', ["n", "\n"]),
+    ("json", b'{"?": 1, "\\u003F": 2}', None),
+    ("json", b'{"A": 1, "\\u0041": 2}', None),
+    ("json", b'{"/": 1, "\\/": 2}', None),
+    ("toon", b'"\\u0041": 1\n', ["A"]),
+    ("toon", b'"\\u0041": 1\n"\\u0042": 2\n', ["A", "B"]),
+    ("toon", b'n: 1\n"\\n": 2\n', ["n", "\n"]),
+    ("toon", b'"?": 1\n"\\u003F": 2\n', None),
+    ("toon", b'A: 1\n"\\u0041": 2\n', None),
+    ("toon", b'"/": 1\n"\\/": 2\n', None),
+    ("toon", b'a[1]{x,"\\u0078"}:\n  1,2\n', None),
+], ids=lambda v: ",".join(v) if isinstance(v, list) else None)
+def test_key_escapes_are_decoded_for_the_duplicate_check(mode, doc, names):
+    """The automaton takes keys as the parser reads them (``names``) and
+    refuses, at its closing quote, a key the parser reads as a repeat
+    (``names`` None)."""
+    root = _parse(mode, doc)
+    if names is None:
+        assert root is None
+        with pytest.raises(RejectError) as ei:
+            advance_bytes(init_state(mode), doc)
+        assert ei.value.byte_offset == doc.rindex(b'"')
+    else:
+        assert list(root) == names
+        assert is_accepting(advance_bytes(init_state(mode), doc))
+
+
+def _accepts(mode, data: bytes) -> bool:
     try:
-        accepted = is_accepting(advance_bytes(init_state("json"), doc))
+        return is_accepting(advance_bytes(init_state(mode), data))
     except RejectError:
-        accepted = False
-    assert accepted == unique
+        return False
+
+
+@pytest.mark.parametrize("mode, docs", [
+    ("toon", [b'"\\{e}": 1\n', b'k: "\\{e}"\n', b'a[1]{{"\\{e}"}}:\n  1\n',
+              b'a[1]:\n  - "\\{e}": 1\n', b'a[1]:\n  - "\\{e}"\n']),
+    ("json", [b'{{"\\{e}": 1}}', b'{{"k": "\\{e}"}}']),
+])
+def test_escapes_are_read_as_the_parser_reads_them(mode, docs):
+    """Every escape, in keys and in values: the automaton accepts the
+    document exactly when the parser does, ``\\u`` only with 4 hex digits."""
+    escapes = [chr(b) for b in range(0x20, 0x7F)] + ["u004", "u0041", "u00e9", "uD83D"]
+    for doc in docs:
+        for e in escapes:
+            data = doc.decode().format(e=e).encode()
+            assert _accepts(mode, data) == (_parse(mode, data) is not None), data
 
 
 @pytest.mark.parametrize("mode, prefix", [
