@@ -107,10 +107,11 @@ def _cmd_report(args) -> int:
     grouping = None
     if args.grouping is not None:
         try:
-            raw = json.loads(_read_text(args.grouping))
-            grouping = {k: tuple(v) for k, v in raw.items()}
-        except (ValueError, AttributeError) as e:
+            grouping = json.loads(_read_text(args.grouping))
+        except ValueError as e:
             raise _Usage(f"bad grouping file: {e}")
+        if not isinstance(grouping, dict):
+            raise _Usage("bad grouping file: the root must be an object")
     written = emit_report(args.csv, args.out_dir, grouping)
     for p in written:
         print(f"wrote {p}", file=sys.stderr)

@@ -8,8 +8,9 @@ Any failure produces error text that feeds the next repair prompt; a case
 stops at the first success or after 1 + max_repairs attempts.
 
 Results are written at case granularity to CSV (deterministically ordered)
-with attempt-level detail in a JSON-lines log; an interrupted run resumes by
-skipping the cells of the whole rows already in the CSV.
+and attempt by attempt to a JSON-lines log, each cell's lines as the cell
+finishes; these two files are the only record of a sweep.  An interrupted
+run resumes by skipping the cells of the CSV rows that pass ``parse_row``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .client import (ApiError, ChatRequest, ChatResponse, TransportError,
                      estimate_tokens)
@@ -40,10 +43,6 @@ OUTCOMES = ("success", "decode_error", "validation_error", "mismatch",
 CSV_COLUMNS = ("model", "run_index", "case", "track", "one_shot_success",
                "final_success", "attempts", "prompt_tokens",
                "completion_tokens", "flags")
-
-
-class MissingCase(Exception):
-    """A run's metrics were requested with a case/track cell absent."""
 
 
 class ConfigError(Exception):
@@ -86,17 +85,6 @@ class CaseResult:
     @property
     def total_completion_tokens(self) -> int:
         return sum(a.completion_tokens for a in self.attempts)
-
-
-@dataclass
-class RunResult:
-    model: str
-    run_index: int
-    case_results: List[CaseResult]
-
-    def metrics(self, cases: Sequence[str] = CASE_NAMES,
-                tracks: Sequence[str] = TRACKS) -> Dict[str, dict]:
-        return compute_run_metrics(self.case_results, cases, tracks)
 
 
 def _decode_output(content: str, track: str):
@@ -171,28 +159,6 @@ def run_case(client, model: str, case: CaseSpec, track: str,
     return CaseResult(model, case.name, track, attempts, tuple(sorted(flags)))
 
 
-def compute_run_metrics(case_results: Sequence[CaseResult],
-                        cases: Sequence[str] = CASE_NAMES,
-                        tracks: Sequence[str] = TRACKS) -> Dict[str, dict]:
-    """Per-track one-shot accuracy, final accuracy, and the absolute token
-    sum across the run's cases."""
-    by_cell = {(r.case, r.track): r for r in case_results}
-    out: Dict[str, dict] = {}
-    for track in tracks:
-        one_shot = final = tokens = 0
-        for case in cases:
-            r = by_cell.get((case, track))
-            if r is None:
-                raise MissingCase(f"no result for case {case!r} on track {track!r}")
-            one_shot += r.one_shot_success
-            final += r.final_success
-            tokens += r.total_prompt_tokens + r.total_completion_tokens
-        out[track] = {"one_shot": one_shot / len(cases),
-                      "final": final / len(cases),
-                      "tokens": tokens}
-    return out
-
-
 # -- built-in gold-oracle mock provider --------------------------------------
 
 
@@ -255,58 +221,82 @@ def load_config(path) -> dict:
     return config
 
 
+def _names(config: dict, key: str, known: Optional[Sequence[str]]) -> list:
+    """``config[key]``: a non-empty list of distinct strings, each among
+    ``known`` unless that is None; all of ``known`` when the key is absent."""
+    names = config.get(key, list(known or ()))
+    if not isinstance(names, list) or not names or not all(
+            isinstance(n, str) and (known is None or n in known) for n in names):
+        raise ConfigError(f"'{key}' must be a non-empty list of names"
+                          + (f" among {tuple(known)}" if known else ""))
+    if len(set(names)) < len(names):
+        raise ConfigError(f"'{key}' names an entry twice")
+    return names
+
+
+def _count(config: dict, key: str, default: int, least: int) -> int:
+    value = config.get(key, default)
+    if type(value) is not int or value < least:  # a bool is not a count
+        raise ConfigError(f"'{key}' must be an integer of at least {least}")
+    return value
+
+
 def _validate_config(config: dict) -> dict:
-    models = config.get("models")
-    if not isinstance(models, list) or not models or \
-            not all(isinstance(m, str) for m in models):
-        raise ConfigError("'models' must be a non-empty list of model names")
-    runs = config.get("runs", 10)
-    if not isinstance(runs, int) or runs < 1:
-        raise ConfigError("'runs' must be a positive integer")
-    tracks = config.get("tracks", list(TRACKS))
-    if not all(t in TRACKS for t in tracks) or not tracks:
-        raise ConfigError(f"'tracks' entries must be among {TRACKS}")
-    case_names = config.get("cases", list(CASE_NAMES))
-    known = {c.name: c for c in builtin_cases()}
-    unknown = [c for c in case_names if c not in known]
-    if unknown or not case_names:
-        raise ConfigError(f"unknown cases: {unknown}")
-    max_repairs = config.get("max_repairs", MAX_REPAIRS)
-    if not isinstance(max_repairs, int) or max_repairs < 0:
-        raise ConfigError("'max_repairs' must be a non-negative integer")
-    parallelism = config.get("parallelism", 1)
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise ConfigError("'parallelism' must be a positive integer")
-    return {"models": models, "runs": runs, "tracks": list(tracks),
-            "cases": [known[c] for c in case_names],
-            "max_repairs": max_repairs, "parallelism": parallelism,
+    _count(config, "retries", 3, 0)
+    timeout = config.get("timeout", 120.0)
+    if type(timeout) not in (int, float) or not 0 < timeout < float("inf"):
+        raise ConfigError("'timeout' must be a positive number of seconds")
+    by_name = {c.name: c for c in builtin_cases()}
+    return {"models": _names(config, "models", None),
+            "runs": _count(config, "runs", 10, 1),
+            "tracks": _names(config, "tracks", TRACKS),
+            "cases": [by_name[c] for c in _names(config, "cases", CASE_NAMES)],
+            "max_repairs": _count(config, "max_repairs", MAX_REPAIRS, 0),
+            "parallelism": _count(config, "parallelism", 1, 1),
             "template_dir": config.get("template_dir")}
 
 
-_INT_COLUMNS = ("run_index", "one_shot_success", "final_success", "attempts",
-                "prompt_tokens", "completion_tokens")
+def parse_row(raw: dict) -> dict:
+    """A results-CSV row as ``csv.DictReader`` reads it, with its counts made
+    ints.  Raises ValueError unless it has exactly the columns CSV_COLUMNS,
+    every count is a non-negative integer, both success columns are 0 or 1,
+    ``attempts`` is at least 1 and final_success is at least
+    one_shot_success.  Resume keeps exactly the rows that pass; the report
+    refuses a file with a row that fails."""
+    if tuple(raw) != CSV_COLUMNS or None in raw.values():
+        raise ValueError(f"expected the columns {CSV_COLUMNS}")
+    row = dict(raw)
+    for column in ("run_index", "one_shot_success", "final_success",
+                   "attempts", "prompt_tokens", "completion_tokens"):
+        if not (row[column].isascii() and row[column].isdigit()):
+            raise ValueError(f"{column} {row[column]!r} is not a count")
+        row[column] = int(row[column])
+    if max(row["one_shot_success"], row["final_success"]) > 1:
+        raise ValueError("a success column is neither 0 nor 1")
+    if row["attempts"] < 1:
+        raise ValueError("a cell makes at least one attempt")
+    if row["final_success"] < row["one_shot_success"]:
+        raise ValueError("one_shot_success without final_success")
+    return row
 
 
 def _whole_rows(csv_path: Path) -> List[dict]:
-    """The rows of an earlier, possibly killed, run that are whole.
+    """The rows of an earlier, possibly killed, run that are whole, typed by
+    ``parse_row``.
 
     A kill can cut the last row anywhere, so a row counts only once its line
-    has ended, and only if every column is present and every count parses.
-    The cells of the other rows run again."""
+    has ended, and only if ``parse_row`` takes it.  The cells of the other
+    rows run again."""
     if not csv_path.exists():
         return []
     data = csv_path.read_bytes()
     text = data[:data.rfind(b"\n") + 1].decode("utf-8")
     rows = []
-    for row in csv.DictReader(io.StringIO(text, newline="")):
-        if tuple(row) != CSV_COLUMNS or None in row.values():
-            continue
+    for raw in csv.DictReader(io.StringIO(text, newline="")):
         try:
-            for c in _INT_COLUMNS:
-                int(row[c])
+            rows.append(parse_row(raw))
         except ValueError:
-            continue
-        rows.append(row)
+            pass
     return rows
 
 
@@ -333,20 +323,23 @@ def _csv_row(run_index: int, r: CaseResult) -> dict:
             "flags": ";".join(r.flags)}
 
 
+_cell = itemgetter("model", "run_index", "case", "track")
+
+
 def run_benchmark(config: dict, out_csv, attempt_log=None,
-                  client=None) -> List[RunResult]:
+                  client=None) -> None:
     """Execute every model × run × case × track cell, streaming case rows to
     ``out_csv`` as they finish and rewriting the file in deterministic order
-    at the end.  Cells with a whole row in an existing CSV are skipped; a
-    malformed row, such as one cut short by a kill, is dropped and its cell
-    runs again."""
+    at the end.  Each finished cell's attempts are appended to
+    ``attempt_log`` and flushed before its row.  Cells with a whole row in an
+    existing CSV are skipped; a malformed row, such as one cut short by a
+    kill, is dropped and its cell runs again."""
     cfg = _validate_config(config)
     if client is None:
         client = make_client(config)
     out_csv = Path(out_csv)
-    existing_rows = _whole_rows(out_csv)
-    done = {(row["model"], int(row["run_index"]), row["case"], row["track"])
-            for row in existing_rows}
+    rows = _whole_rows(out_csv)
+    done = set(map(_cell, rows))
 
     cells = [(model, run, case, track)
              for model in cfg["models"]
@@ -356,57 +349,37 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
              if (model, run, case.name, track) not in done]
 
     lock = threading.Lock()
-    new_rows: List[dict] = []
-    attempt_lines: List[str] = []
-    results: Dict[Tuple[str, int], List[CaseResult]] = {}
-
     # Drop the malformed rows before new ones are appended after them.
-    _write_rows(out_csv, existing_rows)
-    stream = open(out_csv, "a", newline="", encoding="utf-8")
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
+    _write_rows(out_csv, rows)
+    with open(out_csv, "a", newline="", encoding="utf-8") as stream, \
+            nullcontext() if attempt_log is None else \
+            open(attempt_log, "a", encoding="utf-8") as log:
+        writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
 
-    def work(cell):
-        model, run, case, track = cell
-        r = run_case(client, model, case, track, cfg["max_repairs"],
-                     cfg["template_dir"])
-        with lock:
-            results.setdefault((model, run), []).append(r)
+        def work(cell):
+            model, run, case, track = cell
+            r = run_case(client, model, case, track, cfg["max_repairs"],
+                         cfg["template_dir"])
             row = _csv_row(run, r)
-            new_rows.append(row)
-            writer.writerow(row)  # incremental flush for resumability
-            stream.flush()
-            for a in r.attempts:
-                attempt_lines.append(json.dumps(
-                    {"model": model, "run_index": run, "case": case.name,
-                     "track": track, "attempt_index": a.attempt_index,
-                     "outcome": a.outcome, "prompt_tokens": a.prompt_tokens,
-                     "completion_tokens": a.completion_tokens,
-                     "raw_output": a.raw_output, "error_text": a.error_text},
-                    sort_keys=True))
-        return r
+            lines = "".join(json.dumps({"model": model, "run_index": run,
+                                        "case": case.name, "track": track,
+                                        **vars(a)}, sort_keys=True) + "\n"
+                            for a in r.attempts)
+            with lock:
+                rows.append(row)
+                if log is not None:  # the attempts land before their row
+                    log.write(lines)
+                    log.flush()
+                writer.writerow(row)  # incremental flush for resumability
+                stream.flush()
 
-    try:
         if cfg["parallelism"] > 1:
             with ThreadPoolExecutor(max_workers=cfg["parallelism"]) as pool:
                 list(pool.map(work, cells))
         else:
             for cell in cells:
                 work(cell)
-    finally:
-        stream.close()
 
     # deterministic final ordering regardless of execution interleaving
-    all_rows = existing_rows + new_rows
-    all_rows.sort(key=lambda r: (r["model"], int(r["run_index"]), r["case"],
-                                 r["track"]))
-    _write_rows(out_csv, all_rows)
-
-    if attempt_log is not None:
-        attempt_lines.sort()
-        with open(attempt_log, "a", encoding="utf-8") as f:
-            for line in attempt_lines:
-                f.write(line + "\n")
-
-    run_results = [RunResult(model, run, rs)
-                   for (model, run), rs in sorted(results.items())]
-    return run_results
+    rows.sort(key=_cell)
+    _write_rows(out_csv, rows)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 from decimal import Decimal, ROUND_HALF_UP
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .harness import CSV_COLUMNS
+from .harness import CSV_COLUMNS, parse_row
 from .prompts import TRACKS
+from .schemas import CASE_NAMES
 
 DEFAULT_GROUPING = {
     "aligned": ("users", "order"),
@@ -27,31 +29,25 @@ class SchemaError(Exception):
 
 
 def load_results(csv_path) -> List[dict]:
-    """Read and type-check case-level result rows."""
+    """The result rows, each checked by ``harness.parse_row``, as dicts of
+    model, run_index, case, track, one_shot and final (0 or 1) and tokens
+    (prompt plus completion)."""
     rows = []
     with open(csv_path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise SchemaError(
                 f"expected columns {CSV_COLUMNS}, found {reader.fieldnames}")
-        for lineno, raw in enumerate(reader, 2):
+        for raw in reader:
             try:
-                rows.append({
-                    "model": raw["model"],
-                    "run_index": int(raw["run_index"]),
-                    "case": raw["case"],
-                    "track": raw["track"],
-                    "one_shot_success": bool(int(raw["one_shot_success"])),
-                    "final_success": bool(int(raw["final_success"])),
-                    "attempts": int(raw["attempts"]),
-                    "tokens": int(raw["prompt_tokens"]) + int(raw["completion_tokens"]),
-                    "flags": raw["flags"],
-                })
-            except (TypeError, ValueError, KeyError) as e:
-                raise SchemaError(f"{csv_path}:{lineno}: bad row: {e}")
-    for row in rows:
-        if row["final_success"] < row["one_shot_success"]:
-            raise SchemaError("one_shot_success without final_success")
+                row = parse_row(raw)
+            except ValueError as e:
+                raise SchemaError(f"{csv_path}:{reader.line_num}: bad row: {e}")
+            rows.append({"model": row["model"], "run_index": row["run_index"],
+                         "case": row["case"], "track": row["track"],
+                         "one_shot": row["one_shot_success"],
+                         "final": row["final_success"],
+                         "tokens": row["prompt_tokens"] + row["completion_tokens"]})
     return rows
 
 
@@ -59,60 +55,39 @@ def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
 
 
-def _run_level(rows: List[dict]) -> Dict[tuple, Dict[str, dict]]:
-    """(model, run_index) -> track -> {one_shot, final, tokens} where the
-    accuracies are fractions of the run's cases and tokens the absolute sum."""
-    runs: Dict[tuple, Dict[str, List[dict]]] = {}
-    for r in rows:
-        runs.setdefault((r["model"], r["run_index"]), {}) \
-            .setdefault(r["track"], []).append(r)
-    out: Dict[tuple, Dict[str, dict]] = {}
-    for key, by_track in runs.items():
-        out[key] = {}
-        for track, cells in by_track.items():
-            out[key][track] = {
-                "one_shot": _mean([c["one_shot_success"] for c in cells]),
-                "final": _mean([c["final_success"] for c in cells]),
-                "tokens": sum(c["tokens"] for c in cells),
-            }
-    return out
+def _figures(cells: List[dict], tokens=_mean) -> dict:
+    """{one_shot, final, tokens} of ``cells``: the means of their one-shot
+    and final success, and ``tokens`` (the mean, or the sum) of theirs."""
+    return {"one_shot": _mean([c["one_shot"] for c in cells]),
+            "final": _mean([c["final"] for c in cells]),
+            "tokens": tokens([c["tokens"] for c in cells])}
+
+
+def _table(cells: List[dict], key, tokens=_mean) -> Dict[object, Dict[str, dict]]:
+    """key(cell) -> track -> the ``_figures`` of the cells with that key and
+    track, keys in sorted order."""
+    groups: Dict[object, Dict[str, List[dict]]] = {}
+    for c in cells:
+        groups.setdefault(key(c), {}).setdefault(c["track"], []).append(c)
+    return {k: {track: _figures(group, tokens)
+                for track, group in groups[k].items()}
+            for k in sorted(groups)}
 
 
 def aggregate_by_model(rows: List[dict]) -> Dict[str, Dict[str, dict]]:
-    """model -> track -> mean over runs of {one_shot, final, tokens}."""
-    run_level = _run_level(rows)
-    acc: Dict[str, Dict[str, List[dict]]] = {}
-    for (model, _run), by_track in run_level.items():
-        for track, m in by_track.items():
-            acc.setdefault(model, {}).setdefault(track, []).append(m)
-    table: Dict[str, Dict[str, dict]] = {}
-    for model in sorted(acc):
-        table[model] = {}
-        for track, ms in acc[model].items():
-            table[model][track] = {
-                "one_shot": _mean([m["one_shot"] for m in ms]),
-                "final": _mean([m["final"] for m in ms]),
-                "tokens": _mean([m["tokens"] for m in ms]),
-            }
-    return table
+    """model -> track -> mean over runs of {one_shot, final, tokens}, where a
+    run's accuracies are fractions of its cases and its tokens their sum."""
+    runs = _table(rows, itemgetter("model", "run_index"), sum)
+    return _table([dict(figures, model=model, track=track)
+                   for (model, _run), by_track in runs.items()
+                   for track, figures in by_track.items()],
+                  itemgetter("model"))
 
 
 def aggregate_by_case(rows: List[dict]) -> Dict[str, Dict[str, dict]]:
     """case -> track -> means across every model and run; the token figure is
     the mean per-case prompt+completion total."""
-    acc: Dict[str, Dict[str, List[dict]]] = {}
-    for r in rows:
-        acc.setdefault(r["case"], {}).setdefault(r["track"], []).append(r)
-    table: Dict[str, Dict[str, dict]] = {}
-    for case in sorted(acc):
-        table[case] = {}
-        for track, cells in acc[case].items():
-            table[case][track] = {
-                "one_shot": _mean([c["one_shot_success"] for c in cells]),
-                "final": _mean([c["final_success"] for c in cells]),
-                "tokens": _mean([c["tokens"] for c in cells]),
-            }
-    return table
+    return _table(rows, itemgetter("case"))
 
 
 def efficiency(rows: List[dict],
@@ -126,12 +101,15 @@ def efficiency(rows: List[dict],
     """
     if grouping is None:
         grouping = DEFAULT_GROUPING
-    seen: set = set()
     for name, cases in grouping.items():
-        dup = seen.intersection(cases)
-        if dup:
-            raise ValueError(f"case groups must be disjoint; {sorted(dup)} repeat")
-        seen.update(cases)
+        if not isinstance(cases, (list, tuple)) or not cases or \
+                not all(c in CASE_NAMES for c in cases):
+            raise ValueError(f"case group {name!r} must be a non-empty list "
+                             f"of names among {CASE_NAMES}")
+    named = [c for cases in grouping.values() for c in cases]
+    dup = sorted({c for c in named if named.count(c) > 1})
+    if dup:
+        raise ValueError(f"case groups must be disjoint; {dup} repeat")
 
     per_case: Dict[tuple, List[dict]] = {}
     for r in rows:
@@ -145,13 +123,10 @@ def efficiency(rows: List[dict],
         for track in tracks:
             out[model][track] = {}
             for group, cases in grouping.items():
-                finals, tokens = [], []
-                for case in cases:
-                    cells = per_case.get((model, track, case))
-                    if not cells:
-                        continue
-                    finals.append(_mean([c["final_success"] for c in cells]))
-                    tokens.append(_mean([c["tokens"] for c in cells]))
+                figures = [_figures(per_case[model, track, case])
+                           for case in cases if (model, track, case) in per_case]
+                finals = [f["final"] for f in figures]
+                tokens = [f["tokens"] for f in figures]
                 # no cells, or only all_transport ones, which used no tokens
                 if not any(tokens):
                     continue
@@ -269,7 +244,7 @@ def emit_report(csv_path, out_dir,
     by_model = aggregate_by_model(rows)
     by_case = aggregate_by_case(rows)
     eff = efficiency(rows, grouping)
-    tracks = [t for t in TRACKS if any(r["track"] == t for r in rows)]
+    tracks = list(next(iter(eff.values()), {}))  # each model lists them all
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -157,6 +157,22 @@ def test_report_custom_grouping_file(tmp_path, capsys):
     assert (rdir / "figure_solo.tsv").exists()
 
 
+@pytest.mark.parametrize("groups", ['{"g": "users"}', '["users"]', '{"g": 5}'])
+def test_report_bad_grouping_exits_two(tmp_path, capsys, groups):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"provider": "mock", "models": ["m"],
+                               "runs": 1}))
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 0
+    grouping = tmp_path / "groups.json"
+    grouping.write_text(groups)
+    rdir = tmp_path / "rep"
+    assert main(["report", str(out), "--out-dir", str(rdir),
+                 "--grouping", str(grouping)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not rdir.exists()
+
+
 # -- mask-sim ----------------------------------------------------------------
 
 

@@ -1,17 +1,18 @@
-"""Benchmark execution: repair loops, metrics, CSV output, resume."""
+"""Benchmark execution: repair loops, CSV rows, attempt log, resume."""
 
 import csv
 import json
 import random
+import sys
 
 import pytest
 
 from toonbench.client import ApiError, ScriptedClient, ScriptedTurn
 from toonbench.harness import (CSV_COLUMNS, ConfigError, GoldOracleClient,
-                               MissingCase, compute_run_metrics, run_benchmark,
-                               run_case)
+                               _csv_row, _whole_rows, _write_rows,
+                               run_benchmark, run_case)
 from toonbench.prompts import TRACKS
-from toonbench.report import load_results
+from toonbench.report import SchemaError, aggregate_by_model, load_results
 from toonbench.schemas import CASE_NAMES
 from toonbench.toon import encode_toon
 from toonbench.values import emit_canonical_json
@@ -166,14 +167,21 @@ def test_estimated_usage_flag_propagates(case_by_name):
     assert "estimated_usage" in r.flags
 
 
-# -- metrics -----------------------------------------------------------------
+# -- per-run figures: CaseResult totals and the report over the CSV ----------
 
 
 def _case_result(case_by_name, case, track, script):
     return run_case(ScriptedClient(script), "m", case_by_name[case], track)
 
 
-def test_three_first_try_plus_one_repair(case_by_name):
+def _by_model(tmp_path, results):
+    """The report's per-model figures for ``results`` written as run 1."""
+    path = tmp_path / "r.csv"
+    _write_rows(path, [_csv_row(1, r) for r in results])
+    return aggregate_by_model(load_results(path))["m"]
+
+
+def test_three_first_try_plus_one_repair(case_by_name, tmp_path):
     results = []
     for name in ("users", "order", "company"):
         case = case_by_name[name]
@@ -184,13 +192,15 @@ def test_three_first_try_plus_one_repair(case_by_name):
         case_by_name, "invoice", "J",
         [ScriptedTurn("not json at all", 100, 50),
          ScriptedTurn(gold_json(invoice), 140, 50)]))
-    m = compute_run_metrics(results, tracks=("J",))
-    assert m["J"]["one_shot"] == 0.75
-    assert m["J"]["final"] == 1.0
-    assert m["J"]["tokens"] == 3 * 150 + (150 + 190)
+    assert [r.one_shot_success for r in results] == [True, True, True, False]
+    assert all(r.final_success for r in results)
+    assert sum(r.total_prompt_tokens + r.total_completion_tokens
+               for r in results) == 3 * 150 + (150 + 190)
+    assert _by_model(tmp_path, results) == \
+        {"J": {"one_shot": 0.75, "final": 1.0, "tokens": 3 * 150 + (150 + 190)}}
 
 
-def test_token_totals_reproduce_scripted_sum(case_by_name):
+def test_token_totals_reproduce_scripted_sum(case_by_name, tmp_path):
     """Four one-shot successes whose scripted usages sum to 2772."""
     budgets = [(500, 190), (520, 180), (500, 200), (490, 192)]
     assert sum(p + c for p, c in budgets) == 2772
@@ -199,16 +209,20 @@ def test_token_totals_reproduce_scripted_sum(case_by_name):
         case = case_by_name[name]
         results.append(_case_result(case_by_name, name, "J",
                                     [ScriptedTurn(gold_json(case), p, comp)]))
-    m = compute_run_metrics(results, tracks=("J",))
-    assert m["J"] == {"one_shot": 1.0, "final": 1.0, "tokens": 2772}
+    assert [(r.total_prompt_tokens, r.total_completion_tokens)
+            for r in results] == budgets
+    assert _by_model(tmp_path, results) == \
+        {"J": {"one_shot": 1.0, "final": 1.0, "tokens": 2772}}
 
 
-def test_missing_case_raises(case_by_name):
+def test_run_missing_cases_counts_only_the_cells_it_has(case_by_name, tmp_path):
+    """A run with one of its four cases (a sweep cut short) is averaged over
+    the one cell its CSV has."""
     case = case_by_name["order"]
     only_one = [_case_result(case_by_name, "order", "J",
                              [ScriptedTurn(gold_json(case), 1, 1)])]
-    with pytest.raises(MissingCase):
-        compute_run_metrics(only_one, tracks=("J",))
+    assert _by_model(tmp_path, only_one) == \
+        {"J": {"one_shot": 1.0, "final": 1.0, "tokens": 2}}
 
 
 def test_randomized_scenarios_bounds_and_monotonicity(case_by_name):
@@ -240,15 +254,15 @@ MOCK_CFG = {"provider": "mock", "models": ["oracle-1"], "runs": 10}
 
 def test_benchmark_cardinality_and_accuracy(tmp_path):
     out = tmp_path / "results.csv"
-    runs = run_benchmark(MOCK_CFG, out, tmp_path / "attempts.jsonl")
+    assert run_benchmark(MOCK_CFG, out, tmp_path / "attempts.jsonl") is None
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 10 * 4 * 3 == 120
     assert tuple(rows[0].keys()) == CSV_COLUMNS
-    for rr in runs:
-        m = rr.metrics()
-        for track in TRACKS:
-            assert m[track]["one_shot"] == 1.0 and m[track]["final"] == 1.0
-            assert m[track]["tokens"] > 0
+    by_track = aggregate_by_model(load_results(out))["oracle-1"]
+    assert list(by_track) == list(TRACKS)
+    for m in by_track.values():
+        assert m["one_shot"] == 1.0 and m["final"] == 1.0
+        assert m["tokens"] > 0
 
 
 def test_benchmark_accuracies_are_quarters(tmp_path):
@@ -322,6 +336,71 @@ def test_benchmark_resume_reruns_malformed_rows(tmp_path):
     assert resumed.read_text() == expected
 
 
+# One malformed row after a good one.  Resume drops it (its cell runs again)
+# and the report refuses the file, naming the row's line: both go through
+# harness.parse_row.
+@pytest.mark.parametrize("bad", [
+    "m,1,order,J,1,1,1,10,5,,x",  # one column too many
+    "m,1,order,J,1,1,1,10,5",  # one column missing
+    "m,1,order,J,7,1,1,10,5,",  # a success column that is neither 0 nor 1
+    "m,1,order,J,1,1,1,-10,5,",  # a negative token count
+    "m,1,order,J,1,1,0,10,5,",  # no attempt
+    "m,1,order,J,1,0,1,10,5,",  # final below one-shot
+], ids=["extra-column", "missing-column", "one-shot-7", "negative-tokens",
+        "zero-attempts", "final-below-one-shot"])
+def test_resume_and_report_refuse_the_same_rows(tmp_path, bad):
+    p = tmp_path / "r.csv"
+    p.write_text(",".join(CSV_COLUMNS) + "\nm,1,users,J,1,1,1,10,5,\n" + bad + "\n")
+    assert [row["case"] for row in _whole_rows(p)] == ["users"]
+    with pytest.raises(SchemaError, match=r"r\.csv:3: bad row"):
+        load_results(p)
+
+
+class CrashAfter(GoldOracleClient):
+    """The mock provider, raising RuntimeError from its call ``k + 1`` on."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.left = k
+
+    def complete(self, req):
+        if self.left == 0:
+            raise RuntimeError("provider crashed")
+        self.left -= 1
+        return super().complete(req)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_attempt_log_holds_the_attempts_of_the_written_rows(tmp_path, k):
+    out, log = tmp_path / "r.csv", tmp_path / "attempts.jsonl"
+    with pytest.raises(RuntimeError):
+        run_benchmark(MOCK_CFG, out, log, client=CrashAfter(k))
+    rows = list(csv.DictReader(open(out)))
+    logged = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(rows) == k  # every mock cell takes one attempt
+    assert sorted((r["model"], r["run_index"], r["case"], r["track"])
+                  for r in logged) == \
+        sorted((r["model"], int(r["run_index"]), r["case"], r["track"])
+               for r in rows)
+    assert sum(int(r["attempts"]) for r in rows) == len(logged)
+
+
+def test_attempt_log_lines_are_the_same_in_parallel(tmp_path):
+    run_benchmark(MOCK_CFG, tmp_path / "a.csv", tmp_path / "a.jsonl")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so writes interleave
+    try:
+        run_benchmark({**MOCK_CFG, "parallelism": 4}, tmp_path / "b.csv",
+                      tmp_path / "b.jsonl")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+    serial = (tmp_path / "a.jsonl").read_text().splitlines()
+    parallel = (tmp_path / "b.jsonl").read_text().splitlines()
+    assert len(serial) == 120
+    assert sorted(serial) == sorted(parallel)
+
+
 def test_attempt_log_lines_parse(tmp_path):
     log = tmp_path / "attempts.jsonl"
     run_benchmark(MOCK_CFG, tmp_path / "r.csv", log)
@@ -330,6 +409,9 @@ def test_attempt_log_lines_parse(tmp_path):
     rec = json.loads(lines[0])
     assert {"model", "run_index", "case", "track", "attempt_index",
             "outcome"} <= set(rec)
+
+
+HTTP = "http://127.0.0.1:9/v1"  # never contacted: the config fails first
 
 
 @pytest.mark.parametrize("bad", [
@@ -341,6 +423,17 @@ def test_attempt_log_lines_parse(tmp_path):
     {"provider": "mock", "models": ["m"], "max_repairs": -1},
     {"provider": "nope", "models": ["m"]},
     {"provider": "http", "models": ["m"]},  # endpoint missing
+    {"provider": "http", "endpoint": HTTP, "models": ["m"], "retries": -1},
+    {"provider": "http", "endpoint": HTTP, "models": ["m"], "retries": 1.5},
+    {"provider": "http", "endpoint": HTTP, "models": ["m"], "retries": True},
+    {"provider": "http", "endpoint": HTTP, "models": ["m"], "timeout": 0},
+    {"provider": "http", "endpoint": HTTP, "models": ["m"], "timeout": -5.0},
+    {"provider": "mock", "models": ["m", "m"]},
+    {"provider": "mock", "models": ["m"], "tracks": ["J", "J"]},
+    {"provider": "mock", "models": ["m"], "cases": ["users", "users"]},
+    {"provider": "mock", "models": ["m"], "runs": True},
+    {"provider": "mock", "models": ["m"], "max_repairs": True},
+    {"provider": "mock", "models": ["m"], "parallelism": True},
 ])
 def test_config_errors_abort_early(tmp_path, bad):
     with pytest.raises(ConfigError):

@@ -145,6 +145,16 @@ def test_all_transport_group_is_left_out(tmp_path):
     assert report[-1].split() == ["m", "J", "-", "1.250"]
 
 
+def test_all_transport_cells_are_failures_with_no_tokens(tmp_path):
+    """An all_transport cell counts as a failure in both accuracies and adds
+    no tokens to its run."""
+    rows = [dict(make_row("m", 1, "users", "J", False, False, 0), attempts=4,
+                 flags="all_transport"),
+            make_row("m", 1, "order", "J", True, True, 800)]
+    cell = aggregate_by_model(load_results(write_csv(tmp_path / "r.csv", rows)))
+    assert cell == {"m": {"J": {"one_shot": 0.5, "final": 0.5, "tokens": 800}}}
+
+
 def test_efficiency_homogeneity(tmp_path):
     base = [make_row("m", i + 1, c, "J", True, True, t)
             for i in range(3)
@@ -172,6 +182,19 @@ def test_efficiency_requires_disjoint_groups(tmp_path):
     data = load_results(write_csv(tmp_path / "r.csv", uniform_runs()))
     with pytest.raises(ValueError):
         efficiency(data, {"a": ("users",), "b": ("users", "order")})
+
+
+@pytest.mark.parametrize("grouping", [
+    {"g": "users"},  # a string, not a list of names
+    {"g": ["nope"]},
+    {"g": []},
+    {"g": 5},
+    {"g": ["users", "users"]},
+])
+def test_efficiency_refuses_a_group_that_is_not_a_list_of_cases(tmp_path, grouping):
+    data = load_results(write_csv(tmp_path / "r.csv", uniform_runs()))
+    with pytest.raises(ValueError):
+        efficiency(data, grouping)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -223,16 +246,3 @@ def test_emit_report_custom_grouping(tmp_path):
                           {"solo": ("users",)})
     assert sorted(w.name for w in written) == \
         ["figure_solo.svg", "figure_solo.tsv", "report.txt"]
-
-
-def test_two_path_consistency_with_run_level_metrics(tmp_path):
-    """The by-model table equals metrics recomputed from RunResults."""
-    from toonbench.harness import run_benchmark
-    out = tmp_path / "results.csv"
-    runs = run_benchmark({"provider": "mock", "models": ["oracle-1"],
-                          "runs": 4}, out)
-    table = aggregate_by_model(load_results(out))
-    for track in ("J", "JSO", "T"):
-        mean_tokens = sum(r.metrics()[track]["tokens"] for r in runs) / len(runs)
-        assert abs(table["oracle-1"][track]["tokens"] - mean_tokens) < 1e-9
-        assert table["oracle-1"][track]["one_shot"] == 1.0
