@@ -47,7 +47,6 @@ class ChatRequest:
     messages: Tuple[Tuple[str, str], ...]  # (role, content) pairs
     temperature: float = 0.0
     response_format: Optional[str] = None  # "json_object" or None
-    max_tokens: Optional[int] = None
 
     def body(self) -> dict:
         body = {
@@ -57,8 +56,6 @@ class ChatRequest:
         }
         if self.response_format is not None:
             body["response_format"] = {"type": self.response_format}
-        if self.max_tokens is not None:
-            body["max_tokens"] = self.max_tokens
         return body
 
 

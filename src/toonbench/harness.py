@@ -256,15 +256,25 @@ def _validate_config(config: dict) -> dict:
             "template_dir": config.get("template_dir")}
 
 
+# The cell a results row belongs to.  A CSV holds one row per cell: resume
+# keeps the first row of a cell, and the report refuses a file that repeats one.
+cell_key = itemgetter("model", "run_index", "case", "track")
+
+
 def parse_row(raw: dict) -> dict:
     """A results-CSV row as ``csv.DictReader`` reads it, with its counts made
     ints.  Raises ValueError unless it has exactly the columns CSV_COLUMNS,
-    every count is a non-negative integer, both success columns are 0 or 1,
-    ``attempts`` is at least 1 and final_success is at least
-    one_shot_success.  Resume keeps exactly the rows that pass; the report
-    refuses a file with a row that fails."""
+    its case is in CASE_NAMES and its track in TRACKS, every count is a
+    non-negative integer, both success columns are 0 or 1, ``attempts`` is
+    at least 1 and final_success is at least one_shot_success.  Resume keeps
+    exactly the rows that pass; the report refuses a file with a row that
+    fails."""
     if tuple(raw) != CSV_COLUMNS or None in raw.values():
         raise ValueError(f"expected the columns {CSV_COLUMNS}")
+    if raw["case"] not in CASE_NAMES:
+        raise ValueError(f"case {raw['case']!r} is not one of {CASE_NAMES}")
+    if raw["track"] not in TRACKS:
+        raise ValueError(f"track {raw['track']!r} is not one of {TRACKS}")
     row = dict(raw)
     for column in ("run_index", "one_shot_success", "final_success",
                    "attempts", "prompt_tokens", "completion_tokens"):
@@ -285,18 +295,21 @@ def _whole_rows(csv_path: Path) -> List[dict]:
     ``parse_row``.
 
     A kill can cut the last row anywhere, so a row counts only once its line
-    has ended, and only if ``parse_row`` takes it.  The cells of the other
-    rows run again."""
+    has ended, and only if ``parse_row`` takes it and no earlier row holds
+    its cell.  The cells of the other rows run again."""
     if not csv_path.exists():
         return []
     data = csv_path.read_bytes()
     text = data[:data.rfind(b"\n") + 1].decode("utf-8")
-    rows = []
+    rows, cells = [], set()
     for raw in csv.DictReader(io.StringIO(text, newline="")):
         try:
-            rows.append(parse_row(raw))
+            row = parse_row(raw)
         except ValueError:
-            pass
+            continue
+        if cell_key(row) not in cells:
+            cells.add(cell_key(row))
+            rows.append(row)
     return rows
 
 
@@ -323,9 +336,6 @@ def _csv_row(run_index: int, r: CaseResult) -> dict:
             "flags": ";".join(r.flags)}
 
 
-_cell = itemgetter("model", "run_index", "case", "track")
-
-
 def run_benchmark(config: dict, out_csv, attempt_log=None,
                   client=None) -> None:
     """Execute every model × run × case × track cell, streaming case rows to
@@ -339,7 +349,7 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
         client = make_client(config)
     out_csv = Path(out_csv)
     rows = _whole_rows(out_csv)
-    done = set(map(_cell, rows))
+    done = set(map(cell_key, rows))
 
     cells = [(model, run, case, track)
              for model in cfg["models"]
@@ -381,5 +391,5 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
                 work(cell)
 
     # deterministic final ordering regardless of execution interleaving
-    rows.sort(key=_cell)
+    rows.sort(key=cell_key)
     _write_rows(out_csv, rows)

@@ -62,7 +62,6 @@ class _IdSet(Set):
 class Mask:
     ids: tuple  # ascending ids of the tokens whose full byte string advances
     accepting: bool  # end-of-sequence currently legal
-    size: int  # vocabulary size V
 
     @property
     def allowed(self) -> Set:
@@ -221,7 +220,7 @@ def allowed_mask(state: GrammarState, vocab: Vocabulary) -> Mask:
     if cache is None:
         cache = _caches[vocab] = _Cache()
     t0 = time.perf_counter_ns()
-    mask = Mask(_compute(state, vocab, cache), is_accepting(state), len(vocab))
+    mask = Mask(_compute(state, vocab, cache), is_accepting(state))
     cache.miss_ns += time.perf_counter_ns() - t0
     cache.misses += 1
     masks = cache.masks[state.mode]

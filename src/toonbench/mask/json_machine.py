@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from json.decoder import BACKSLASH
 
-from . import keys
+from . import keys, numerals
 from .keys import CLOSED
 
 MAX_DEPTH = 16
@@ -20,29 +20,6 @@ _WS = frozenset((0x20, 0x09, 0x0A, 0x0D))
 
 _EMPTY = frozenset()
 
-# Numeral DFA of RFC 8259 as a table: state -> byte -> state.  "" is the
-# start, m(minus) z(zero,ACC) i(int,ACC) d(dot) f(frac,ACC) e s x(exp,ACC);
-# any byte without an entry ends the number.
-_DIGITS = b"0123456789"
-_DIGIT_BYTES = frozenset(_DIGITS)
-_NUM = {st: {b: nxt for bs, nxt in row for b in bs} for st, row in {
-    "": ((b"-", "m"), (b"0", "z"), (b"123456789", "i")),
-    "m": ((b"0", "z"), (b"123456789", "i")),
-    "z": ((b".", "d"), (b"eE", "e")),
-    "i": ((_DIGITS, "i"), (b".", "d"), (b"eE", "e")),
-    "d": ((_DIGITS, "f"),),
-    "f": ((_DIGITS, "f"), (b"eE", "e")),
-    "e": ((b"+-", "s"), (_DIGITS, "x")),
-    "s": ((_DIGITS, "x"),),
-    "x": ((_DIGITS, "x"),),
-}.items()}
-_NUM_ACC = frozenset("zifx")
-
-
-def _num_step(st: str, b: int):
-    return _NUM[st].get(b)
-
-
 def initial():
     # micro tags:
     #   start      expect '{' (no leading whitespace)
@@ -50,7 +27,7 @@ def initial():
     #   ks / s     inside a key or value string (lex), lexed by keys.quoted
     #   col        expect ':'
     #   v / v1     expect a value ('v1' also allows ']')
-    #   num        inside a number (dfa state)
+    #   num        inside a number (numerals.JSON state)
     #   lit        inside true/false/null (word, pos)
     #   e          after a value, expect ',' or close
     #   end        document complete, whitespace only
@@ -75,7 +52,7 @@ def run(state):
         return keys.run(*micro[1])
     if tag == "num":
         # digits extend an integer, a fraction or an exponent
-        return (_DIGIT_BYTES, math.inf) if micro[1] in ("i", "f", "x") else None
+        return (numerals.DIGITS, math.inf) if micro[1] in ("i", "f", "x") else None
     if tag in _WS_STATES:
         return (_WS, math.inf)
     return None
@@ -163,29 +140,25 @@ def step(state, b: int):
             return (stack, ("lit", "false", 1))
         if b == 0x6E:  # 'n'
             return (stack, ("lit", "null", 1))
-        st = _num_step("", b)
+        st = numerals.JSON[""].get(b)
         return None if st is None else (stack, ("num", st))
 
     if tag == "lit":
         word, pos = micro[1], micro[2]
-        if pos < len(word):
-            if chr(b) == word[pos]:
-                if pos + 1 == len(word):
-                    s2, m2 = _after_value(stack)
-                    return (s2, m2)
-                return (stack, ("lit", word, pos + 1))
+        if chr(b) != word[pos]:
             return None
-        return None
+        if pos + 1 == len(word):
+            return _after_value(stack)
+        return (stack, ("lit", word, pos + 1))
 
     if tag == "num":
         st = micro[1]
-        nxt = _num_step(st, b)
+        nxt = numerals.JSON[st].get(b)
         if nxt is not None:
             return (stack, ("num", nxt))
-        if st in _NUM_ACC:
+        if st in numerals.ACCEPTING:
             # number ends; re-dispatch the byte in post-value position
-            s2, m2 = _after_value(stack)
-            return step((s2, m2), b)
+            return step(_after_value(stack), b)
         return None
 
     if tag == "e":

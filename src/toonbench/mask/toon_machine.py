@@ -1,6 +1,6 @@
 """Incremental byte-level recognizer for the TOON grammar.
 
-States are nested tuples ``(started, stack, line)`` and therefore hashable;
+States are nested tuples ``(stack, line)`` and therefore hashable;
 ``step`` returns a new state or ``None`` on rejection.  The recognized
 language is a slight restriction of what :func:`toonbench.toon.parse_toon`
 accepts (ASCII content, bounded identifiers/counts/nesting), so every byte
@@ -24,7 +24,12 @@ documents also validate.
   column, or ``None`` for each column of an unconstrained table.
 
 ``line`` is the micro-state within the current line; its first element is a
-tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.
+tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.  The
+document starts at ``_START``, a line start that does not accept.
+
+Numerals are lexed by the tables of :mod:`.numerals`: FloatType by ``TOON``,
+IntType by the integer states of ``JSON``.  Every bare value is lexed by
+``sb``; a BoolType value and a schema tabular header are spelled by ``lit``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from .. import toon
 from ..schemas import ArrayType, BoolType, FloatType, IntType, ObjectType, StrType
 from ..toon import _ESCAPES
-from . import keys
+from . import keys, numerals
 from .keys import CLOSED, MAX_KEY, PRINTABLE
 
 MAX_DEPTH = 16
@@ -46,7 +51,6 @@ _EMPTY = frozenset()
 SP = 0x20
 NL = 0x0A
 
-_DIGITS = b"0123456789"
 _KEY_START = frozenset(toon._KEY_START.encode())
 _KEY_CHARS = frozenset(toon._KEY_CHARS.encode())
 # Byte classes of the run declarations (see ``run``).
@@ -68,51 +72,26 @@ def _tabular_schema(s) -> bool:
 _LITERALS = frozenset(("true", "false", "null"))
 _LIT_PREFIXES = frozenset(w[:i] for w in _LITERALS for i in range(1, len(w) + 1))
 
-# Numeral DFA of toon._NUM_RE as a table: state -> byte -> state.  "" is the
-# start, m(minus) i(int,ACC) d(dot) f(frac,ACC) e es x(exp,ACC); any byte
-# without an entry leads to the dead state X.
-_NUM = {st: {b: nxt for bs, nxt in row for b in bs} for st, row in {
-    "": ((b"-", "m"), (_DIGITS, "i")),
-    "m": ((_DIGITS, "i"),),
-    "i": ((_DIGITS, "i"), (b".", "d"), (b"eE", "e")),
-    "d": ((_DIGITS, "f"),),
-    "f": ((_DIGITS, "f"), (b"eE", "e")),
-    "e": ((b"+-", "es"), (_DIGITS, "x")),
-    "es": ((_DIGITS, "x"),),
-    "x": ((_DIGITS, "x"),),
-    "X": (),
-}.items()}
-_NUM_ACC = frozenset("ifx")
 
-
-def _num_step(st: str, b: int) -> str:
-    return _NUM[st].get(b, "X")
-
-
-def _schema_frame_depth(s) -> int:
+def _schema_depth(s) -> int:
+    """The frames that a value of schema type ``s`` opens at most."""
     if isinstance(s, ObjectType):
-        return 1 + max((_schema_extra(fs) for _, fs in s.fields), default=0)
-    return _schema_extra(s)
-
-
-def _schema_extra(s) -> int:
-    if isinstance(s, ObjectType):
-        return _schema_frame_depth(s)
+        return 1 + max((_schema_depth(fs) for _, fs in s.fields), default=0)
     if isinstance(s, ArrayType):
-        return 1 + _schema_extra(s.element)
+        return 1 + _schema_depth(s.element)
     return 0
 
 
 # Line states without fields, and continuations built once.
+_START = ("ind", 0, "start")  # the first line start, where nothing is accepted
 _IND0 = ("ind", 0)
-_VAL0 = ("val0",)
+_SP0 = ("sp", None)  # after an unconstrained key's ':'
 _ITEM0 = ("item0",)
 _DASH = ("dash",)
 _SKEY0 = ("skey", 0)
 _KEYEND = ("keyend",)  # after an object key: ':' or '['
 _IQE = ("iqe",)  # after a list item's quoted first token
 _IQV = ("sqe", None)  # after a quoted list item that cannot be a key
-_VALUE = ("tvs", None, None)  # unconstrained value after "key: "
 _LIST_ITEM = "-"  # the context of a schema list item's scalar
 
 
@@ -122,10 +101,10 @@ def initial(schema=None):
     else:
         if not isinstance(schema, ObjectType):
             raise ValueError("toon documents require an object-typed schema root")
-        if _schema_frame_depth(schema) > MAX_DEPTH:
+        if _schema_depth(schema) > MAX_DEPTH:
             raise ValueError(f"schema nesting exceeds the depth bound of {MAX_DEPTH}")
         stack = (("sobj", 0, schema.fields),)
-    return (False, stack, _IND0)
+    return (stack, _START)
 
 
 def _poppable(frame) -> bool:
@@ -144,20 +123,13 @@ def _max_content_col(stack) -> int:
     return -1
 
 
-def counters_clear(state) -> bool:
-    return all(_poppable(frame) for frame in state[1])
-
-
 def accepting(state) -> bool:
-    started, stack, line = state
-    if not started:
-        return False
-    if line == _IND0:
-        return counters_clear(state)
-    if line[0] == "ind":
-        return False
-    s2 = step(state, NL)
-    return s2 is not None and counters_clear(s2)
+    """At a line start after a whole line, or where a newline would end the
+    current one, with no frame still owed a line."""
+    if state[1][0] != "ind":
+        state = step(state, NL)
+    return (state is not None and state[1] == _IND0
+            and all(_poppable(frame) for frame in state[0]))
 
 
 def run(state):
@@ -165,14 +137,14 @@ def run(state):
     bytes from ``byte_class`` is accepted from ``state``, or None.  Key text
     stops one short of MAX_KEY, where a taken key is refused; a list item's
     first token goes on as a scalar past MAX_KEY."""
-    line = state[2]
+    line = state[1]
     tag = line[0]
     if tag == "q":
         text, esc = line[2]
         return keys.run(None if line[1] == _IQE else text, esc)
     if tag == "key":
         return (_KEY_CHARS, keys.budget(line[2]))
-    if tag == "bval" or tag == "sb":
+    if tag == "sb":
         ctx = line[-1]
         if ctx is None:
             return (PRINTABLE, math.inf)
@@ -195,7 +167,7 @@ def _take_one(stack):
 
 
 def _end_line(stack):
-    return (True, stack, _IND0)
+    return (stack, _IND0)
 
 
 # -- main transition ---------------------------------------------------------
@@ -204,8 +176,8 @@ def _end_line(stack):
 def step(state, b: int):
     if b != NL and not (0x20 <= b <= 0x7E):
         return None
-    line = state[2]
-    return _HANDLERS[line[0]](state[1], line, b)
+    line = state[1]
+    return _HANDLERS[line[0]](state[0], line, b)
 
 
 # Every handler takes ``(stack, line, b)`` for a byte that passed the guard in
@@ -220,7 +192,7 @@ def _indent(stack, line, b):
         # otherwise the consumed spaces would have no legal continuation
         if n > _max_content_col(stack):
             return None
-        return (True, stack, ("ind", n))
+        return (stack, ("ind", n))
     if b == NL:
         return None
     # resolve dedents
@@ -240,9 +212,9 @@ def _dispatch(stack, b):
     tag = frame[0]
     if tag == "obj":
         if b == 0x22:
-            return (True, stack, ("q", _KEYEND, keys.KEY))
+            return (stack, ("q", _KEYEND, keys.KEY))
         if b in _KEY_START:
-            return (True, stack, ("key", _KEYEND, chr(b)))
+            return (stack, ("key", _KEYEND, chr(b)))
         return None
     if tag == "sobj":
         return _schema_key(stack, _SKEY0, b) if frame[2] else None
@@ -250,8 +222,8 @@ def _dispatch(stack, b):
         return None
     if tag in ("larr", "slarr"):
         # decrement remaining now; the item line is committed
-        return (True, _take_one(stack), _DASH) if b == 0x2D else None
-    return _begin_value(stack, frame[3][0], 0, b)
+        return (_take_one(stack), _DASH) if b == 0x2D else None
+    return _value_start(stack, ("tvs", frame[3][0], 0), b)
 
 
 def _taken(stack, cont):
@@ -274,8 +246,8 @@ def _quoted(stack, line, b):
     if nxt is None:
         return _quoted(stack, ("q", _IQV, (None, lex[1])), b) if cont == _IQE else None
     if nxt is CLOSED:
-        return (True, stack, cont if lex[0] is None else cont + (lex[0],))
-    return (True, stack, line if nxt is lex else ("q", cont, nxt))
+        return (stack, cont if lex[0] is None else cont + (lex[0],))
+    return (stack, line if nxt is lex else ("q", cont, nxt))
 
 
 def _bare_key(stack, line, b):
@@ -285,7 +257,7 @@ def _bare_key(stack, line, b):
     _, cont, text = line
     if b in _KEY_CHARS:
         text = keys.grow(text, chr(b), _taken, stack, cont)
-        return None if text is None else (True, stack, ("key", cont, text))
+        return None if text is None else (stack, ("key", cont, text))
     return _HANDLERS[cont[0]](stack, cont + (text,), b)
 
 
@@ -305,11 +277,11 @@ def _finish_key(stack, key, b, item=False):
         return None
     stack = stack[:-1] + (("obj", col, seen | {key}),)
     if b == 0x3A:
-        return (True, stack, _VAL0)
+        return (stack, _SP0)
     # the array frame must fit as well
     if len(stack) >= MAX_DEPTH:
         return None
-    return (True, stack, ("cnt", "u", 0, 0, col + 2))
+    return (stack, ("cnt", "u", 0, 0, col + 2))
 
 
 def _key_end(stack, line, b):
@@ -322,26 +294,31 @@ def _schema_key(stack, line, b):
     frame = stack[-1]
     name, fs = frame[2][0]
     if pos < len(name):
-        return (True, stack, ("skey", pos + 1)) if chr(b) == name[pos] else None
+        return (stack, ("skey", pos + 1)) if chr(b) == name[pos] else None
     # key complete: consume the field from the frame
     s2 = stack[:-1] + (("sobj", frame[1], frame[2][1:]),)
     if b == 0x3A:
         if isinstance(fs, ObjectType):
-            return (True, s2, ("nl", ("sobj", frame[1] + 2, fs.fields)))
+            return (s2, ("nl", ("sobj", frame[1] + 2, fs.fields)))
         if _scalar_schema(fs):
-            return (True, s2, ("sp", fs))
+            return (s2, ("sp", fs))
         return None
     if b == 0x5B and isinstance(fs, ArrayType):
-        return (True, s2, ("cnt", ("s", fs.element), 0, 0, frame[1] + 2))
+        return (s2, ("cnt", ("s", fs.element), 0, 0, frame[1] + 2))
     return None
 
 
 def _space(stack, line, b):
-    return (True, stack, ("tvs", line[1], None)) if b == SP else None
-
-
-def _value_start(stack, line, b):
-    return _begin_value(stack, line[1], line[2], b)
+    """After a key's ':', the space before a scalar of schema type ``fs``
+    (None: unconstrained).  After an unconstrained key, NL opens a nested
+    object instead."""
+    fs = line[1]
+    if b == SP:
+        return (stack, ("tvs", fs, None))
+    if b == NL and fs is None:
+        s2 = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
+        return None if s2 is None else _end_line(s2)
+    return None
 
 
 def _open_frame(stack, line, b):
@@ -360,9 +337,9 @@ def _count(stack, line, b):
     if 0x30 <= b <= 0x39:
         if nd >= MAX_COUNT_DIGITS or (nd == 1 and val == 0):
             return None
-        return (True, stack, ("cnt", marker, val * 10 + b - 0x30, nd + 1, ccol))
+        return (stack, ("cnt", marker, val * 10 + b - 0x30, nd + 1, ccol))
     if b == 0x5D and nd > 0:
-        return (True, stack, ("pc", marker, val, ccol))
+        return (stack, ("pc", marker, val, ccol))
     return None
 
 
@@ -372,26 +349,27 @@ def _after_count(stack, line, b):
     _, marker, n, ccol = line
     if marker == "u":
         if b == 0x3A:
-            return (True, stack, ("nl", ("larr", ccol, n)))
+            return (stack, ("nl", ("larr", ccol, n)))
         if b == 0x7B:
-            return (True, stack, ("hstart", n, (), ccol))
+            return (stack, ("hstart", n, (), ccol))
         return None
     elem = marker[1]
     if n > 0 and _tabular_schema(elem):  # the schema forces tabular layout
         if b != 0x7B:
             return None
-        expected = ",".join(name for name, _ in elem.fields) + "}:"
-        return (True, stack, ("shdr", n, elem, expected, 0, ccol))
-    return (True, stack, ("nl", ("slarr", ccol, n, elem))) if b == 0x3A else None
+        names = ",".join(name for name, _ in elem.fields)
+        cols = tuple(fs for _, fs in elem.fields)
+        return (stack, ("lit", names + "}:", 0, ("nl", ("starr", ccol, n, cols))))
+    return (stack, ("nl", ("slarr", ccol, n, elem))) if b == 0x3A else None
 
 
 def _header_start(stack, line, b):
     """Start of an unconstrained tabular header name; the name is lexed as
     a key and then handed to ``hqe``."""
     if b == 0x22:
-        return (True, stack, ("q", ("hqe",) + line[1:], keys.KEY))
+        return (stack, ("q", ("hqe",) + line[1:], keys.KEY))
     if b in _KEY_START:
-        return (True, stack, ("key", ("hqe",) + line[1:], chr(b)))
+        return (stack, ("key", ("hqe",) + line[1:], chr(b)))
     return None
 
 
@@ -400,9 +378,9 @@ def _header_end(stack, line, b):
     if h in done:
         return None
     if b == 0x2C:
-        return (True, stack, ("hstart", n, done + (h,), ccol))
+        return (stack, ("hstart", n, done + (h,), ccol))
     if b == 0x7D:
-        return (True, stack, ("ph", n, len(done) + 1, ccol))
+        return (stack, ("ph", n, len(done) + 1, ccol))
     return None
 
 
@@ -410,29 +388,7 @@ def _header_close(stack, line, b):
     if b != 0x3A:
         return None
     _, n, arity, ccol = line
-    return (True, stack, ("nl", ("tarr", ccol, n, (None,) * arity)))
-
-
-def _schema_header(stack, line, b):
-    """Schema tabular header, spelled exactly."""
-    _, n, elem, expected, pos, ccol = line
-    if chr(b) != expected[pos]:
-        return None
-    pos += 1
-    if pos < len(expected):
-        return (True, stack, ("shdr", n, elem, expected, pos, ccol))
-    cols = tuple(fs for _, fs in elem.fields)
-    return (True, stack, ("nl", ("starr", ccol, n, cols)))
-
-
-# -- unconstrained values ----------------------------------------------------
-
-
-def _after_colon(stack, line, b):
-    if b == NL:
-        s2 = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
-        return None if s2 is None else _end_line(s2)
-    return (True, stack, _VALUE) if b == SP else None
+    return (stack, ("nl", ("tarr", ccol, n, (None,) * arity)))
 
 
 # -- list items --------------------------------------------------------------
@@ -450,35 +406,35 @@ def _dash(stack, line, b):
     if b != SP:
         return None
     if frame[0] != "slarr":
-        return (True, stack, _ITEM0)
+        return (stack, _ITEM0)
     if isinstance(elem, ObjectType):
         if not elem.fields:
             return None
         s2 = _push(stack, ("sobj", frame[1] + 2, elem.fields))
-        return None if s2 is None else (True, s2, _SKEY0)
+        return None if s2 is None else (s2, _SKEY0)
     if isinstance(elem, ArrayType):
-        return (True, stack, ("iarr", elem))
-    return (True, stack, ("tvs", elem, _LIST_ITEM))
+        return (stack, ("iarr", elem))
+    return (stack, ("tvs", elem, _LIST_ITEM))
 
 
 def _item_array(stack, line, b):
     if b != 0x5B:
         return None
     # header sits two columns right of the dash; its items two more
-    return (True, stack, ("cnt", ("s", line[1].element), 0, 0, stack[-1][1] + 4))
+    return (stack, ("cnt", ("s", line[1].element), 0, 0, stack[-1][1] + 4))
 
 
 def _item_start(stack, line, b):
     if b == 0x5B:
         if len(stack) >= MAX_DEPTH:
             return None
-        return (True, stack, ("cnt", "u", 0, 0, stack[-1][1] + 4))
+        return (stack, ("cnt", "u", 0, 0, stack[-1][1] + 4))
     if b == 0x22:
-        return (True, stack, ("q", _IQE, keys.KEY))
+        return (stack, ("q", _IQE, keys.KEY))
     # a leading ':' would end an empty key
     if b == SP or b == NL or b == 0x3A:
         return None
-    return (True, stack, ("ib", chr(b), False))
+    return (stack, ("ib", chr(b), False))
 
 
 def _item_bare(stack, line, b):
@@ -494,7 +450,7 @@ def _item_bare(stack, line, b):
         return None if tsp else _end_line(stack)  # scalar item
     if chars is not None:
         chars = chars + chr(b) if len(chars) < MAX_KEY else None
-    return (True, stack, ("ib", chars, b == SP))
+    return (stack, ("ib", chars, b == SP))
 
 
 def _item_quoted_end(stack, line, b):
@@ -506,33 +462,28 @@ def _item_quoted_end(stack, line, b):
 # -- scalar values and tabular cells -----------------------------------------
 
 
-def _begin_value(stack, fs, ctx, b):
+def _value_start(stack, line, b):
     """First byte of a scalar of schema type ``fs`` (None: unconstrained) in
     context ``ctx``: None after ``key: ``, ``_LIST_ITEM`` after a schema list
     item's ``- ``, else the index of a cell in the row of the top tabular
-    frame.  A bare list item holds no ':' or '[', where the parser would
-    read a key."""
+    frame.  The byte is read by the scalar's own handler from its start."""
+    _, fs, ctx = line
     if fs is None or isinstance(fs, StrType):
         if b == 0x22:
-            return (True, stack, ("q", ("sqe", ctx), keys.VALUE))
+            return (stack, ("q", ("sqe", ctx), keys.VALUE))
         # no leading space, and no empty cell
         if b == SP or b == NL or (b == 0x2C and type(ctx) is int):
             return None
-        if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
-            return None
-        if fs is None:
-            return (True, stack, ("bval", False, ctx))
-        c = chr(b)
-        lit = c if c in _LIT_PREFIXES else None
-        return (True, stack, ("sb", _num_step("", b), lit, False, ctx))
-    # other types read their first byte with their own handler
+        if fs is None:  # no numeral or literal to track
+            return _bare_value(stack, ("sb", None, None, False, ctx), b)
+        return _bare_value(stack, ("sb", "", "", False, ctx), b)
     if isinstance(fs, IntType):
-        minus = ("sint", "m", 0, ctx)
-        return (True, stack, minus) if b == 0x2D else _int_value(stack, minus, b)
+        return _int_value(stack, ("sint", "", 0, ctx), b)
     if isinstance(fs, FloatType):
         return _float_value(stack, ("sflt", "", ctx), b)
     if isinstance(fs, BoolType):
-        return _bool_value(stack, ("slit", "true" if b == 0x74 else "false", 0, ctx), b)
+        word = "true" if b == 0x74 else "false"
+        return _literal(stack, ("lit", word, 0, ("sqe", ctx)), b)
     return None
 
 
@@ -546,62 +497,62 @@ def _value_end(stack, ctx, b):
     if b == 0x2C:
         if ctx + 1 >= len(cols):
             return None
-        return (True, stack, ("tvs", cols[ctx + 1], ctx + 1))
+        return (stack, ("tvs", cols[ctx + 1], ctx + 1))
     if b == NL and ctx + 1 == len(cols):
         return _end_line(_take_one(stack))
     return None
 
 
 def _bare_value(stack, line, b):
-    """Unconstrained bare value or cell: printable bytes up to NL (or ','
-    in a cell); ``tsp`` flags a trailing space, on which it may not end."""
-    _, tsp, ctx = line
-    if b == NL or (b == 0x2C and ctx is not None):
-        return None if tsp else _value_end(stack, ctx, b)
-    return (True, stack, ("bval", b == SP, ctx))
-
-
-def _int_value(stack, line, b):
-    _, st, nd, ctx = line
-    if 0x30 <= b <= 0x39:
-        if st == "m":
-            return (True, stack, ("sint", "z" if b == 0x30 else "i", 1, ctx))
-        if st == "i" and nd < MAX_INT_DIGITS:
-            return (True, stack, ("sint", "i", nd + 1, ctx))
-        return None
-    return None if st == "m" else _value_end(stack, ctx, b)
-
-
-def _float_value(stack, line, b):
-    _, st, ctx = line
-    nxt = _num_step(st, b)
-    if nxt != "X":
-        return (True, stack, ("sflt", nxt, ctx))
-    return _value_end(stack, ctx, b) if st in _NUM_ACC else None
-
-
-def _bool_value(stack, line, b):
-    _, word, pos, ctx = line
-    if pos < len(word):
-        return (True, stack, ("slit", word, pos + 1, ctx)) if chr(b) == word[pos] else None
-    return _value_end(stack, ctx, b)
-
-
-def _str_value(stack, line, b):
-    """Bare StrType lexeme, tracked by the numeral DFA (``num``) and as a
-    literal prefix (``lit``) so that it cannot end as a number or literal."""
+    """Bare value or cell: printable bytes up to NL (or ',' in a cell);
+    ``tsp`` flags a trailing space, on which it may not end.  A StrType
+    lexeme may not end as a number or literal either: ``num`` is its state
+    in ``numerals.TOON`` and ``lit`` the literal prefix it spells, each None
+    once it can no longer be one, and both None for an unconstrained value.
+    A bare list item holds no ':' or '[', where the parser would read a
+    key."""
     _, num, lit, tsp, ctx = line
     if b == NL or (b == 0x2C and type(ctx) is int):
-        if tsp or num in _NUM_ACC or lit in _LITERALS:
+        if tsp or num in numerals.ACCEPTING or lit in _LITERALS:
             return None
         return _value_end(stack, ctx, b)
     if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
         return None
+    if num is not None:
+        num = numerals.TOON[num].get(b)
     if lit is not None:
         lit += chr(b)
         if lit not in _LIT_PREFIXES:
             lit = None
-    return (True, stack, ("sb", _num_step(num, b), lit, b == SP, ctx))
+    return (stack, ("sb", num, lit, b == SP, ctx))
+
+
+def _int_value(stack, line, b):
+    """IntType: the integer states of ``numerals.JSON``, at most
+    MAX_INT_DIGITS digits."""
+    _, st, nd, ctx = line
+    nxt = numerals.JSON[st].get(b)
+    if nxt in numerals.INTEGER:
+        if nxt != "m":  # a digit
+            nd += 1
+        return (stack, ("sint", nxt, nd, ctx)) if nd <= MAX_INT_DIGITS else None
+    return _value_end(stack, ctx, b) if st in numerals.ACCEPTING else None
+
+
+def _float_value(stack, line, b):
+    _, st, ctx = line
+    nxt = numerals.TOON[st].get(b)
+    if nxt is not None:
+        return (stack, ("sflt", nxt, ctx))
+    return _value_end(stack, ctx, b) if st in numerals.ACCEPTING else None
+
+
+def _literal(stack, line, b):
+    """``word`` spelled exactly; the byte after it goes to ``then``."""
+    _, word, pos, then = line
+    if pos == len(word):
+        return _HANDLERS[then[0]](stack, then, b)
+    return (stack, ("lit", word, pos + 1, then)) if chr(b) == word[pos] else None
 
 
 def _quoted_value_end(stack, line, b):
@@ -609,12 +560,12 @@ def _quoted_value_end(stack, line, b):
 
 
 _HANDLERS = {
-    "ind": _indent,  # (n): n spaces of indent so far
+    "ind": _indent,  # (n), and the document's start (0, "start")
     "key": _bare_key,  # (cont, text)
     "q": _quoted,  # (cont, lex): lex is keys.quoted's (text, esc)
     "keyend": _key_end,  # (key): object key read
     "skey": _schema_key,  # (pos): schema key spelled up to pos
-    "sp": _space,  # (fs): the space after a schema scalar key's ':'
+    "sp": _space,  # (fs): after a scalar key's ':', fs None if unconstrained
     "tvs": _value_start,  # (fs, ctx): scalar value or cell starts
     "nl": _open_frame,  # (frame): header line done
     "cnt": _count,  # (marker, val, ndigits, ccol): array count digits
@@ -622,9 +573,7 @@ _HANDLERS = {
     "hstart": _header_start,  # (n, names, ccol): tabular header name starts
     "hqe": _header_end,  # (n, names, ccol, name): header name read
     "ph": _header_close,  # (n, arity, ccol): after the header's '}'
-    "shdr": _schema_header,  # (n, elem, expected, pos, ccol)
-    "val0": _after_colon,  # after an unconstrained key's ':'
-    "bval": _bare_value,  # (tsp, ctx)
+    "lit": _literal,  # (word, pos, then): a bool, or a schema tabular header
     "dash": _dash,  # after a list item's '-'
     "iarr": _item_array,  # (elem): schema array item, expects '['
     "item0": _item_start,  # after an unconstrained item's "- "
@@ -632,7 +581,6 @@ _HANDLERS = {
     "iqe": _item_quoted_end,  # (text): item's quoted first token read
     "sint": _int_value,  # (st, ndigits, ctx)
     "sflt": _float_value,  # (st, ctx)
-    "slit": _bool_value,  # (word, pos, ctx)
-    "sb": _str_value,  # (num, lit, tsp, ctx)
+    "sb": _bare_value,  # (num, lit, tsp, ctx): bare value or cell
     "sqe": _quoted_value_end,  # (ctx): quoted value or cell read
 }

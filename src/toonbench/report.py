@@ -14,7 +14,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .harness import CSV_COLUMNS, parse_row
+from .harness import CSV_COLUMNS, cell_key, parse_row
 from .prompts import TRACKS
 from .schemas import CASE_NAMES
 
@@ -29,10 +29,10 @@ class SchemaError(Exception):
 
 
 def load_results(csv_path) -> List[dict]:
-    """The result rows, each checked by ``harness.parse_row``, as dicts of
-    model, run_index, case, track, one_shot and final (0 or 1) and tokens
-    (prompt plus completion)."""
-    rows = []
+    """The result rows, each checked by ``harness.parse_row`` and each of
+    its own cell, as dicts of model, run_index, case, track, one_shot and
+    final (0 or 1) and tokens (prompt plus completion)."""
+    rows, cells = [], set()
     with open(csv_path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
@@ -43,6 +43,10 @@ def load_results(csv_path) -> List[dict]:
                 row = parse_row(raw)
             except ValueError as e:
                 raise SchemaError(f"{csv_path}:{reader.line_num}: bad row: {e}")
+            if cell_key(row) in cells:
+                raise SchemaError(f"{csv_path}:{reader.line_num}: bad row: "
+                                  f"cell {cell_key(row)} has an earlier row")
+            cells.add(cell_key(row))
             rows.append({"model": row["model"], "run_index": row["run_index"],
                          "case": row["case"], "track": row["track"],
                          "one_shot": row["one_shot_success"],

@@ -346,14 +346,32 @@ def test_benchmark_resume_reruns_malformed_rows(tmp_path):
     "m,1,order,J,1,1,1,-10,5,",  # a negative token count
     "m,1,order,J,1,1,0,10,5,",  # no attempt
     "m,1,order,J,1,0,1,10,5,",  # final below one-shot
+    "m,1,order,X,0,0,4,1000,0,",  # a track that is not in TRACKS
+    "m,1,orders,J,1,1,1,10,5,",  # a case that is not in CASE_NAMES
+    "m,1,users,J,0,1,2,10,5,",  # a second row of the first row's cell
 ], ids=["extra-column", "missing-column", "one-shot-7", "negative-tokens",
-        "zero-attempts", "final-below-one-shot"])
+        "zero-attempts", "final-below-one-shot", "unknown-track", "unknown-case",
+        "repeated-cell"])
 def test_resume_and_report_refuse_the_same_rows(tmp_path, bad):
     p = tmp_path / "r.csv"
     p.write_text(",".join(CSV_COLUMNS) + "\nm,1,users,J,1,1,1,10,5,\n" + bad + "\n")
     assert [row["case"] for row in _whole_rows(p)] == ["users"]
     with pytest.raises(SchemaError, match=r"r\.csv:3: bad row"):
         load_results(p)
+
+
+def test_resume_keeps_the_first_row_of_a_repeated_cell(tmp_path):
+    """A CSV that holds a cell twice resumes to one row per cell: the first."""
+    cfg = {**MOCK_CFG, "runs": 1}
+    p = tmp_path / "r.csv"
+    run_benchmark(cfg, p)
+    expected = p.read_text()
+    fields = next(line for line in expected.splitlines() if ",users,J," in line).split(",")
+    fields[4:7] = ["0", "1", "2"]
+    p.write_text(expected + ",".join(fields) + "\n")
+    run_benchmark(cfg, p)
+    assert p.read_text() == expected
+    assert aggregate_by_model(load_results(p))["oracle-1"]["J"]["one_shot"] == 1.0
 
 
 class CrashAfter(GoldOracleClient):

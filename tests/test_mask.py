@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from typing import Iterable
@@ -17,10 +18,10 @@ from toonbench.mask import (DeadEndError, RejectError, UnsupportedSchemaError,
                             build_toy_vocabulary, constrained_generate,
                             init_state, is_accepting, load_vocabulary,
                             save_vocabulary)
-from toonbench.mask import json_machine, keys, toon_machine
+from toonbench.mask import json_machine, keys, numerals, toon_machine
 from toonbench.mask.engine import advance_bytes, step_byte
-from toonbench.schemas import (ArrayType, IntType, ObjectType, StrType,
-                               validate)
+from toonbench.schemas import (ArrayType, BoolType, FloatType, IntType, ObjectType,
+                               StrType, validate)
 from toonbench.toon import _NUM_RE, ToonError, encode_toon, parse_toon
 from toonbench.values import (DuplicateKeyError, JsonParseError, emit_canonical_json,
                               parse_json)
@@ -376,9 +377,9 @@ def test_key_escapes_are_decoded_for_the_duplicate_check(mode, doc, names):
         assert is_accepting(advance_bytes(init_state(mode), doc))
 
 
-def _accepts(mode, data: bytes) -> bool:
+def _accepts(state, data: bytes) -> bool:
     try:
-        return is_accepting(advance_bytes(init_state(mode), data))
+        return is_accepting(advance_bytes(state, data))
     except RejectError:
         return False
 
@@ -395,7 +396,7 @@ def test_escapes_are_read_as_the_parser_reads_them(mode, docs):
     for doc in docs:
         for e in escapes:
             data = doc.decode().format(e=e).encode()
-            assert _accepts(mode, data) == (_parse(mode, data) is not None), data
+            assert _accepts(init_state(mode), data) == (_parse(mode, data) is not None), data
 
 
 @pytest.mark.parametrize("mode, prefix", [
@@ -413,13 +414,13 @@ def test_a_full_length_key_that_is_taken_is_refused_at_its_last_byte(mode, prefi
     assert step_byte(st, ord("j")) is not None
 
 
-def _numeral_dfa_accepts(machine, data: bytes) -> bool:
+def _numeral_dfa_accepts(table, data: bytes) -> bool:
     st = ""
     for b in data:
-        st = machine._num_step(st, b)
-        if st is None:  # the JSON table has no dead state
+        st = table[st].get(b)
+        if st is None:
             return False
-    return st in machine._NUM_ACC
+    return st in numerals.ACCEPTING
 
 
 def _json_number(text: str) -> bool:
@@ -438,9 +439,33 @@ def test_numeral_dfas_match_their_reference_grammars():
         for chars in itertools.product("-0123456789.eE+", repeat=n):
             text = "".join(chars)
             data = text.encode()
-            assert (_numeral_dfa_accepts(toon_machine, data)
+            assert (_numeral_dfa_accepts(numerals.TOON, data)
                     == bool(_NUM_RE.match(text))), text
-            assert _numeral_dfa_accepts(json_machine, data) == _json_number(text), text
+            assert _numeral_dfa_accepts(numerals.JSON, data) == _json_number(text), text
+
+
+_SCALAR_GRAMMARS = {
+    IntType(): re.compile(r"-?(0|[1-9][0-9]{0,18})\Z"),
+    FloatType(): _NUM_RE,
+    BoolType(): re.compile(r"(true|false)\Z"),
+}
+
+
+def test_typed_scalars_match_their_reference_grammars():
+    """``v: s`` under the schema ``{v: T}`` is accepted exactly when ``s``
+    matches T's grammar, for every ``s`` of up to 4 bytes over the numeral
+    and literal bytes, the literals themselves, and integers at and past
+    MAX_INT_DIGITS."""
+    texts = ["".join(chars) for n in range(5)
+             for chars in itertools.product("-01.eE+tf", repeat=n)]
+    texts += ["true", "false", "tru", "truee", "falsey", "True"]
+    for digits in (18, 19, 20):
+        texts += ["9" * digits, "-" + "9" * digits, "1" + "0" * (digits - 1), "0" * digits]
+    for fs, grammar in _SCALAR_GRAMMARS.items():
+        start = init_state("toon", ObjectType((("v", fs),)))
+        for text in texts:
+            assert (_accepts(start, f"v: {text}\n".encode())
+                    == bool(grammar.match(text))), (fs, text)
 
 
 # -- masks -------------------------------------------------------------------
@@ -574,9 +599,24 @@ def test_run_declarations_are_inductive(cases):
                 assert after is not None and after[0] >= byte_class, (st, b)
                 assert after[1] >= budget - 1, (st, b)
     # every declaration was exercised
-    assert {tag for mode, tag in declared if mode == "toon"} >= {"q", "key", "bval", "sb", "ib"}
+    assert {tag for mode, tag in declared if mode == "toon"} >= {"q", "key", "sb", "ib"}
     assert {tag for mode, tag in declared if mode == "json"} >= {
         "ks", "s", "num", "k", "k1", "col", "v", "v1", "e", "end"}
+
+
+def test_no_reached_state_is_a_dead_end(cases):
+    """Every state reached along the gold, seeded random and long-key
+    documents, and every one-byte successor of one, accepts or takes some
+    byte: a mask is never empty where the document may not end."""
+    rng = random.Random(29)
+    docs = [random_document(rng, 3) for _ in range(15)] + _long_key_documents()
+    states = _reached_states(cases, docs)
+    states |= {nxt for st in states for b in range(256)
+               if (nxt := step_byte(st, b)) is not None}
+    # NL and printable bytes first: nearly every state takes one of them
+    order = sorted(range(256), key=lambda b: b < 0x20 and b != 0x0A)
+    for st in states:
+        assert is_accepting(st) or any(step_byte(st, b) is not None for b in order), st
 
 
 @pytest.fixture(scope="module")
