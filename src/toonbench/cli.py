@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .harness import ConfigError, load_config, run_benchmark
-from .mask import (DeadEndError, allowed_mask, constrained_generate,
+from .mask import (DeadEndError, advance, allowed_mask, constrained_generate,
                    init_state, load_vocabulary, UnsupportedSchemaError)
 from .mask.engine import cache_stats
 from .report import SchemaError, emit_report
@@ -118,6 +118,17 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+# The open containers, the root's included, that a mask-sim document reaches
+# before it may end.
+MIN_DEPTH = 3
+
+
+def _depth(state) -> int:
+    """The open containers of a grammar state: both automata hold them as
+    the stack that begins their state."""
+    return len(state.machine[0])
+
+
 def _cmd_mask_sim(args) -> int:
     if args.vocab is not None:
         vocab = load_vocabulary(args.vocab)
@@ -152,13 +163,24 @@ def _cmd_mask_sim(args) -> int:
         bonus.append(b)
 
     steps = []
+    deepest = 0
 
     def policy(i, st):
+        # Until MIN_DEPTH containers were open at once, end-of-sequence is
+        # scored below any token, and a token scores more the deeper it goes.
+        nonlocal deepest
         mask = allowed_mask(st, vocab)
         steps.append(f"step {i}: {len(mask.ids)} legal tokens, "
                      f"accepting={mask.accepting}")
         scores = [rng.random() + bonus[t] for t in range(V)]
-        scores.append(8.0)
+        depth = _depth(st)
+        deepest = max(deepest, depth)
+        if deepest < MIN_DEPTH:
+            for t in mask.ids:
+                scores[t] += 4.0 * (_depth(advance(st, t, vocab)) - depth)
+            scores.append(-100.0)
+        else:
+            scores.append(8.0)
         return scores
 
     out = constrained_generate(policy, vocab, state, max_steps=args.max_steps)
@@ -171,6 +193,8 @@ def _cmd_mask_sim(args) -> int:
               f"{stats['misses']} misses ({stats['miss_us_mean']:.0f} us per miss), "
               f"{stats['entries']} entries, {stats['closures']} closures built",
               file=sys.stderr)
+        print(f"local states: {stats['local_hits']} hits, {stats['local_misses']} misses, "
+              f"{stats['local_entries']} entries", file=sys.stderr)
     return EXIT_OK
 
 

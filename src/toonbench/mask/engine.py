@@ -7,9 +7,11 @@ import weakref
 from bisect import bisect_left
 from collections.abc import Set
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Optional, Sequence
 
 from . import json_machine, toon_machine
+from .keys import MARK, real
 from .vocab import TrieNode, Vocabulary
 
 
@@ -118,7 +120,8 @@ def is_accepting(state: GrammarState) -> bool:
     return _MACHINES[state.mode].accepting(state.machine)
 
 
-# Masks kept per vocabulary and mode; a full cache drops its oldest mask.
+# Masks and local states kept per vocabulary and mode; a full cache drops its
+# oldest entry.
 _MASK_CACHE_SIZE = 1024
 
 
@@ -158,17 +161,78 @@ class _Closure:
         self.ids = tuple(sorted(ids))
 
 
+class _Local:
+    """A local state's mask, split by what it asks of the context: ``full``,
+    the ascending ids accepted where no key is taken; ``groups``, the ids of
+    the tokens that complete one key, by ``(frame, key)``; and ``rest``,
+    ``(questions, ids)`` for the tokens that ask more, which a yes to any
+    question refuses (see ``keys.Taken``).  A key completed from the local
+    state's key text is MARK followed by the characters the token adds."""
+
+    __slots__ = ("full", "groups", "rest")
+
+    def __init__(self, allowed: list, asking: dict):
+        groups, rest = {}, []
+        for questions, ids in asking.items():
+            ids = tuple(ids)
+            (frame, key, added), *more = questions
+            if more or added:
+                rest.append((questions, ids))
+            else:
+                if key[:1] == MARK:
+                    key = MARK + key.lstrip(MARK)
+                groups[(frame, key)] = ids
+            allowed += ids
+        self.full = tuple(sorted(allowed))
+        self.groups = groups
+        self.rest = tuple(rest)
+
+    def ids(self, text, sets) -> tuple:
+        """Ascending ids accepted where the key text is ``text`` and the open
+        frames hold the keys ``sets``: ``full`` less the groups whose key is
+        taken, one lookup per taken key."""
+        drop = []
+        groups = self.groups
+        for frame, seen in enumerate(sets):
+            for key in seen:
+                ids = groups.get((frame, key))
+                if ids:
+                    drop += ids
+                if text is not None and key.startswith(text):
+                    ids = groups.get((frame, MARK + key[len(text):]))
+                    if ids:
+                        drop += ids
+        for questions, ids in self.rest:
+            for frame, key, added in questions:
+                key = real(key, text)
+                if key in sets[frame] or key in {real(a, text) for a in added}:
+                    drop += ids
+                    break
+        if not drop:
+            return self.full
+        return tuple(filterfalse(set(drop).__contains__, self.full))
+
+
 class _Cache:
     """What the engine keeps for one vocabulary: masks per mode and grammar
-    state, closures per byte class, and the count and time of mask misses."""
+    state, ``_Local`` entries per mode and local state, closures per byte
+    class, and counts: misses and their time, local hits and misses.
+    ``reach`` is one more than the longest token's bytes, and ``asked`` the
+    list that local states' ``keys.Taken`` write to."""
 
-    __slots__ = ("masks", "closures", "misses", "miss_ns")
+    __slots__ = ("masks", "locals", "closures", "misses", "miss_ns", "local_hits",
+                 "local_misses", "reach", "asked")
 
-    def __init__(self):
+    def __init__(self, vocab: Vocabulary):
         self.masks: dict = {"toon": {}, "json": {}}
+        self.locals: dict = {"toon": {}, "json": {}}
         self.closures: dict = {}
         self.misses = 0
         self.miss_ns = 0
+        self.local_hits = 0
+        self.local_misses = 0
+        self.reach = max(map(len, vocab.tokens), default=0) + 1
+        self.asked: list = []
 
 
 # vocab -> _Cache.  Held weakly, so a cache dies with its vocabulary and a
@@ -176,30 +240,39 @@ class _Cache:
 _caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _walk(stepfn, machine, root: TrieNode, allowed: list) -> list:
+def _walk(stepfn, machine, root: TrieNode, allowed: list, asked: list) -> dict:
     """Add to ``allowed`` the ids of every token below ``root`` whose bytes
-    the machine accepts from ``machine``: one depth-first walk, each child
-    byte stepped once."""
-    stack = [(machine, root)]
+    the machine accepts from ``machine`` without a question to ``asked``:
+    one depth-first walk, each child byte stepped once.  Returns the ids of
+    the tokens accepted where the answers were no, by the questions their
+    bytes asked, each asked once, in order."""
+    asking: dict = {}
+    stack = [(machine, root, ())]
     while stack:
-        m, node = stack.pop()
+        m, node, questions = stack.pop()
         for b, child in node.children.items():
             m2 = stepfn(m, b)
+            q = questions
+            if asked:
+                q += tuple(x for x in asked if x not in q)
+                asked.clear()
             if m2 is not None:
-                allowed += child.token_ids
+                if q:
+                    asking.setdefault(q, []).extend(child.token_ids)
+                else:
+                    allowed += child.token_ids
                 if child.children:
-                    stack.append((m2, child))
-    return allowed
+                    stack.append((m2, child, q))
+    return asking
 
 
-def _compute(state: GrammarState, vocab: Vocabulary, cache: _Cache) -> tuple:
-    """Ascending ids of the tokens accepted from ``state``.  Where the
-    machine declares a run whose budget covers the closure of its class, the
-    closure's tokens are taken whole and only its skeleton is walked.  No id
-    comes twice: the walk finds only tokens with a byte outside the class."""
-    machine = _MACHINES[state.mode]
+def _local(machine, local, vocab: Vocabulary, cache: _Cache) -> _Local:
+    """The ``_Local`` of a local state.  Where the machine declares a run
+    whose budget covers the closure of its class, the closure's tokens are
+    taken whole and only its skeleton is walked.  No id comes twice: the walk
+    finds only tokens with a byte outside the class."""
     allowed, root = [], vocab.root
-    run = machine.run(state.machine)
+    run = machine.run(local)
     if run is not None:
         byte_class, budget = run
         closure = cache.closures.get(byte_class)
@@ -207,7 +280,25 @@ def _compute(state: GrammarState, vocab: Vocabulary, cache: _Cache) -> tuple:
             closure = cache.closures[byte_class] = _Closure(vocab.root, byte_class)
         if budget >= closure.height:
             allowed, root = list(closure.ids), closure.skeleton
-    return tuple(sorted(_walk(machine.step, state.machine, root, allowed)))
+    return _Local(allowed, _walk(machine.step, local, root, allowed, cache.asked))
+
+
+def _compute(state: GrammarState, vocab: Vocabulary, cache: _Cache) -> tuple:
+    """Ascending ids of the tokens accepted from ``state``, from the
+    ``_Local`` of its local state, which is made on a miss."""
+    machine = _MACHINES[state.mode]
+    local, (text, sets) = machine.split(state.machine, cache.reach, cache.asked)
+    entries = cache.locals[state.mode]
+    entry = entries.get(local)
+    if entry is None:
+        cache.local_misses += 1
+        entry = _local(machine, local, vocab, cache)
+        if len(entries) >= _MASK_CACHE_SIZE:
+            del entries[next(iter(entries))]
+        entries[local] = entry
+    else:
+        cache.local_hits += 1
+    return entry.ids(text, sets)
 
 
 def allowed_mask(state: GrammarState, vocab: Vocabulary) -> Mask:
@@ -218,7 +309,7 @@ def allowed_mask(state: GrammarState, vocab: Vocabulary) -> Mask:
         pass
     cache = _caches.get(vocab)
     if cache is None:
-        cache = _caches[vocab] = _Cache()
+        cache = _caches[vocab] = _Cache(vocab)
     t0 = time.perf_counter_ns()
     mask = Mask(_compute(state, vocab, cache), is_accepting(state))
     cache.miss_ns += time.perf_counter_ns() - t0
@@ -231,13 +322,17 @@ def allowed_mask(state: GrammarState, vocab: Vocabulary) -> Mask:
 
 
 def cache_stats(vocab: Vocabulary) -> dict:
-    """Mask misses, their mean time, cached masks and closures built so far
-    for ``vocab``.  Hits are not counted, so a hit stays one lookup: they are
-    the ``allowed_mask`` calls less the misses."""
-    cache = _caches.get(vocab) or _Cache()
+    """Mask misses, their mean time, cached masks, the local-state hits,
+    misses and entries behind the misses, and closures built so far for
+    ``vocab``.  Hits are not counted, so a hit stays one lookup: they are the
+    ``allowed_mask`` calls less the misses."""
+    cache = _caches.get(vocab) or _Cache(vocab)
     return {"misses": cache.misses,
             "miss_us_mean": cache.miss_ns / 1000 / cache.misses if cache.misses else 0.0,
             "entries": sum(len(masks) for masks in cache.masks.values()),
+            "local_hits": cache.local_hits,
+            "local_misses": cache.local_misses,
+            "local_entries": sum(len(entries) for entries in cache.locals.values()),
             "closures": len(cache.closures)}
 
 

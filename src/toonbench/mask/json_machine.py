@@ -58,6 +58,23 @@ def run(state):
     return None
 
 
+def split(state, reach: int, asked: list):
+    """``(local, context)``.  The local state is ``state`` with the key text
+    cut to its length class (``keys.local_text``) and the keys of each open
+    object replaced by a ``keys.Taken`` that writes to ``asked``; every frame
+    kind stays.  The context is ``(text, sets)``: the key text (None outside
+    a key) and the keys of each frame, by stack position."""
+    stack, micro = state
+    local = tuple(("o", keys.Taken(i, asked)) if frame[0] == "o" else frame
+                  for i, frame in enumerate(stack))
+    sets = tuple(frame[1] if frame[0] == "o" else _EMPTY for frame in stack)
+    text = None
+    if micro[0] == "ks":
+        text, esc = micro[1]
+        micro = ("ks", (keys.local_text(text, reach), esc))
+    return (local, micro), (text, sets)
+
+
 def _taken(stack, cont):
     """The keys of the object being read, which its next key may not repeat."""
     return stack[-1][1]

@@ -10,6 +10,11 @@ digits of a ``\\u`` escape are owed, ``v`` being the value of those read
 A key holds at most MAX_KEY characters, an escape counting as one.  Whether
 a key is taken is the caller's ``taken(stack, cont)``, asked only at a
 closing quote and at MAX_KEY, where a taken key can neither grow nor end.
+
+A mask is shared by the states that differ only in key text and taken keys
+(see ``split`` in each automaton).  Such a local state holds key text as
+``local_text`` and each open object's keys as a ``Taken``, which answers
+"not taken" and writes the question down, to be asked of the real keys.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ _HEX = {b: int(chr(b), 16) for b in b"0123456789abcdefABCDEF"}
 KEY = ("", 0)  # the lexer state at a key's opening quote
 VALUE = (None, 0)  # the lexer state at a value's opening quote
 CLOSED = "closed"  # what ``quoted`` returns for a closing quote
+# A character that no key holds: the automata take ASCII bytes only, and a
+# \u escape stands for at most U+FFFF.
+MARK = "\U0010ffff"
 
 
 def budget(text) -> float:
@@ -88,3 +96,41 @@ def quoted(lex, b, table, taken, stack, cont):
         ch = chr(16 * v + digit)
     text += ch  # grow(), inlined: a plain key byte costs this one call
     return (text, 0) if len(text) < MAX_KEY or _full(text, taken, stack, cont) else None
+
+
+def local_text(text: str, reach: int) -> str:
+    """Key text as a local state holds it: MARK characters, as many as
+    ``text`` has but at least MAX_KEY - ``reach``.  A token adds fewer than
+    ``reach`` characters, so it reaches MAX_KEY from both texts or from
+    neither."""
+    return MARK * max(len(text), MAX_KEY - reach)
+
+
+def real(key: str, text) -> str:
+    """A key completed from a local state, with its MARK characters read as
+    the real key ``text``."""
+    return text + key.lstrip(MARK) if key[:1] == MARK else key
+
+
+class Taken(frozenset):
+    """The keys of the open object at stack position ``frame`` of a local
+    state: unknown, but for the ones a walk from that state adds.  Asked for
+    another key, it answers no and appends ``(frame, key, self)`` to
+    ``asked``, so that the question can be put to the real keys, together
+    with the keys the walk had added before it."""
+
+    __slots__ = ("frame", "asked")
+
+    def __new__(cls, frame: int, asked: list, added=()):
+        self = super().__new__(cls, added)
+        self.frame, self.asked = frame, asked
+        return self
+
+    def __contains__(self, key) -> bool:
+        if frozenset.__contains__(self, key):
+            return True
+        self.asked.append((self.frame, key, self))
+        return False
+
+    def __or__(self, other):
+        return Taken(self.frame, self.asked, frozenset.__or__(self, other))

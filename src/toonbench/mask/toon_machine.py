@@ -154,6 +154,32 @@ def run(state):
     return None
 
 
+def split(state, reach: int, asked: list):
+    """``(local, context)``.  The local state is ``state`` with the keys of
+    each unconstrained object replaced by a ``keys.Taken`` that writes to
+    ``asked``, and the text of an object key cut to its length class
+    (``keys.local_text``); all else stays, other frames and header names
+    included.  The context is ``(text, sets)``: that key text (None where
+    there is none) and the keys of each frame, by stack position.  The first
+    key of a list item stays in the local state: it goes into an object that
+    the item opens, not into an open one."""
+    stack, line = state
+    local = tuple(("obj", frame[1], keys.Taken(i, asked)) if frame[0] == "obj" else frame
+                  for i, frame in enumerate(stack))
+    sets = tuple(frame[2] if frame[0] == "obj" else _EMPTY for frame in stack)
+    text, tag = None, line[0]
+    if tag == "keyend":
+        text = line[1]
+        line = ("keyend", keys.local_text(text, reach))
+    elif tag == "key" and line[1] == _KEYEND:
+        text = line[2]
+        line = ("key", _KEYEND, keys.local_text(text, reach))
+    elif tag == "q" and line[1] == _KEYEND:
+        text, esc = line[2]
+        line = ("q", _KEYEND, (keys.local_text(text, reach), esc))
+    return (local, line), (text, sets)
+
+
 def _push(stack, frame):
     if len(stack) >= MAX_DEPTH:
         return None

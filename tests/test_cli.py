@@ -212,5 +212,27 @@ def test_mask_sim_stats(capsys):
     hits, misses, _, entries, closures = map(int, m.groups())
     assert hits + misses == steps and misses == entries > 0
     assert closures >= 1
+    m = re.search(r"local states: (\d+) hits, (\d+) misses, (\d+) entries", err)
+    assert m is not None, err
+    local_hits, local_misses, local_entries = map(int, m.groups())
+    assert local_hits + local_misses == misses and local_misses == local_entries > 0
     assert main(["mask-sim", "--seed", "3"]) == 0
     assert "mask cache" not in capsys.readouterr().err
+
+
+def _nesting(value) -> int:
+    """Containers on the deepest path of ``value``, the root's included."""
+    if isinstance(value, dict):
+        return 1 + max(map(_nesting, value.values()), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["toon", "json"])
+def test_mask_sim_documents_nest_two_levels_below_the_root(capsys, mode, seed):
+    assert main(["mask-sim", "--mode", mode, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    doc = parse_toon(out).root if mode == "toon" else parse_json(out)
+    assert _nesting(doc) >= 3, out

@@ -721,12 +721,95 @@ def test_mask_cache_is_capped(cases, vocab, monkeypatch):
     fresh = Vocabulary(vocab.tokens)
     sizes = []
     _force_gold_documents(cases, fresh, monkeypatch, lambda state: sizes.append(
-        max(len(masks) for masks in engine._caches[fresh].masks.values())))
-    assert max(sizes) == 8
+        [max(len(entries) for entries in level.values())
+         for level in (engine._caches[fresh].masks, engine._caches[fresh].locals)]))
+    assert [max(level) for level in zip(*sizes)] == [8, 8]  # masks, local states
     st = init_state("toon")  # the first state masked, evicted long since
     assert st.machine not in engine._caches[fresh].masks["toon"]
     assert allowed_mask(st, fresh).allowed == brute_force_mask(st, fresh)
     assert all(len(masks) <= 8 for masks in engine._caches[fresh].masks.values())
+    assert all(len(entries) <= 8 for entries in engine._caches[fresh].locals.values())
+
+
+# -- local states ------------------------------------------------------------
+
+
+def _completed(vocab, pattern: str) -> list:
+    """The texts that ``pattern``'s group matches at the start of tokens of
+    ``vocab``, the most frequent first (at most four)."""
+    found = Counter(m.group(1) for t in vocab.tokens
+                    if (m := re.match(pattern, t.decode("latin-1"))))
+    return sorted(found, key=lambda s: (-found[s], s))[:4]
+
+
+def _local_sharing_prefixes(vocab) -> list:
+    """``(mode, prefix)`` pairs whose states share local states: one key text
+    or value position under different taken keys, in open objects and
+    arrays at different depths, with key texts near MAX_KEY.  The taken keys
+    are ones that tokens of ``vocab`` complete."""
+    n = keys.MAX_KEY
+    texts = ["", "a", "k" * (n - 12), "k" * (n - 11), "k" * (n - 10), "k" * (n - 1)]
+    out = []
+    for opener in ("{", '{"x":{', '{"x":[{', '{"y":{"x":{'):
+        for text in texts:
+            ends = [text + s for s in _completed(vocab, r'([a-z]*)"')]
+            for taken in ([], ends[:1], ends[1:], ["k" * (n - 1), "k" * n], ["x"]):
+                pairs = "".join(f'"{k}":1,' for k in taken)
+                out.append(("json", opener + pairs + '"' + text))
+        for taken in ([], ["x"], _completed(vocab, r'.*,"([a-z]+)"')):
+            pairs = "".join(f'"{k}":1,' for k in taken)
+            out += [("json", opener + pairs + '"z":'), ("json", opener + pairs + '"z":1')]
+    for opener, indent in (("", ""), ("x:\n  y:\n    ", "    ")):
+        for text in texts:
+            ends = [text + s for s in _completed(vocab, r'([a-z]*)[:"]')]
+            for taken in ([], ends[:1], ends[1:], ["k" * (n - 1), "k" * n], ["x", "y"]):
+                lines = opener + "".join(f'"{k}": 1\n{indent}' for k in taken)
+                out += [("toon", lines + text), ("toon", lines + '"' + text)]
+                if not text:
+                    out.append(("toon", lines + "z: 1"))
+    return out
+
+
+def test_states_that_share_a_local_state_have_their_own_masks(mid_vocab):
+    """States that differ only in key text and taken keys share one local
+    state, whose mask is computed once: each state's mask still equals brute
+    force, where a token completes a taken key, asks about an outer object
+    after closing inner ones, or takes a key to MAX_KEY or just short of it."""
+    fresh = Vocabulary(mid_vocab.tokens)  # a vocabulary with its own, empty cache
+    prefixes = _local_sharing_prefixes(fresh)
+    random.Random(3).shuffle(prefixes)
+    reach = max(map(len, fresh.tokens)) + 1
+    masks = {}  # local state -> the distinct masks of its states
+    for mode, prefix in prefixes:
+        st = advance_bytes(init_state(mode), prefix.encode())
+        mask = allowed_mask(st, fresh)
+        assert mask.allowed == brute_force_mask(st, fresh), (mode, prefix)
+        local, _ = (toon_machine if mode == "toon" else json_machine).split(
+            st.machine, reach, [])
+        masks.setdefault((mode, local), set()).add(mask.ids)
+    stats = engine.cache_stats(fresh)
+    assert stats["local_hits"] > 0
+    assert stats["local_misses"] == stats["local_entries"] == len(masks)
+    # some states with one local state have different masks: taken keys drop tokens
+    assert any(len(ids) > 1 for (mode, _), ids in masks.items() if mode == "json")
+    assert any(len(ids) > 1 for (mode, _), ids in masks.items() if mode == "toon")
+
+
+def test_tokens_that_complete_two_keys_check_the_second_against_the_first():
+    """A token that completes the key being typed and then another key of the
+    same object is refused where the two are one key, however the first one's
+    text began."""
+    vocab = Vocabulary([bytes([b]) for b in range(128)] + [
+        b'":1,"a"', b'":1,"ab"', b'b":1,"ab":', b'1,"a":2,"a"', b'},"x":', b'},"a"',
+        b": 1\na:", b": 1\nab:", b'": 1\nab:', b"1\nx:", b": 1\n  b:"])
+    prefixes = [("json", p) for p in ('{"a', '{"', '{"b":1,"a', '{"x":{"a', '{"x":{"',
+                                      '{"x":{"y":', '{"a":{"y":', '{"x":')]
+    prefixes += [("toon", p) for p in ("a", "ab", '"a', '"', "b: 1\na", "x:\n  a",
+                                       "x:\n  y: ", "a: ", "y:\n  a")]
+    for mode, prefix in prefixes:
+        st = advance_bytes(init_state(mode), prefix.encode())
+        assert allowed_mask(st, vocab).allowed == brute_force_mask(st, vocab), (mode, prefix)
+    assert engine.cache_stats(vocab)["local_hits"] > 0
 
 
 # -- constrained generation --------------------------------------------------
