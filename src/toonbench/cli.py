@@ -20,9 +20,8 @@ from .mask import (DeadEndError, advance, allowed_mask, constrained_generate,
 from .mask.engine import cache_stats
 from .report import SchemaError, emit_report
 from .schemas import CASE_NAMES, get_case, validate, write_gold
-from .toon import ToonError, encode_toon, parse_toon
-from .values import (JsonParseError, deep_equal, emit_canonical_json,
-                     format_path, parse_json)
+from .toon import ToonError, encode_toon, parse_toon, toon_to_json
+from .values import JsonParseError, deep_equal, format_path, parse_json
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -59,8 +58,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    doc = parse_toon(_read_text(args.input))
-    _write_out(emit_canonical_json(doc.root) + "\n", args.output)
+    _write_out(toon_to_json(_read_text(args.input)) + "\n", args.output)
     return EXIT_OK
 
 

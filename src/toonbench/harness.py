@@ -27,8 +27,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .client import (ApiError, ChatRequest, ChatResponse, TransportError,
-                     estimate_tokens)
+from .client import (DEFAULT_RETRIES, DEFAULT_TIMEOUT, ApiError, ChatRequest,
+                     ChatResponse, TransportError, estimate_tokens)
 from .prompts import TRACKS, render_prompt, render_repair_prompt
 from .schemas import CaseSpec, CASE_NAMES, builtin_cases, validate
 from .toon import ToonError, encode_toon, extract_toon_block, parse_toon
@@ -189,7 +189,9 @@ class GoldOracleClient:
                             estimate_tokens(content))
 
 
-def make_client(config: dict):
+def make_client(config: dict, timeout: float, retries: int):
+    """The client that ``config`` names; ``timeout`` and ``retries`` are the
+    values ``_validate_config`` checked."""
     provider = config.get("provider", "http")
     if provider == "mock":
         return GoldOracleClient()
@@ -200,8 +202,7 @@ def make_client(config: dict):
             raise ConfigError("http provider requires an 'endpoint'")
         return HttpClient(endpoint,
                           api_key_env=config.get("api_key_env", "TOONBENCH_API_KEY"),
-                          timeout=float(config.get("timeout", 120.0)),
-                          retries=int(config.get("retries", 3)))
+                          timeout=timeout, retries=retries)
     raise ConfigError(f"unknown provider {provider!r}")
 
 
@@ -242,12 +243,14 @@ def _count(config: dict, key: str, default: int, least: int) -> int:
 
 
 def _validate_config(config: dict) -> dict:
-    _count(config, "retries", 3, 0)
-    timeout = config.get("timeout", 120.0)
+    retries = _count(config, "retries", DEFAULT_RETRIES, 0)
+    timeout = config.get("timeout", DEFAULT_TIMEOUT)
     if type(timeout) not in (int, float) or not 0 < timeout < float("inf"):
         raise ConfigError("'timeout' must be a positive number of seconds")
     by_name = {c.name: c for c in builtin_cases()}
-    return {"models": _names(config, "models", None),
+    return {"timeout": float(timeout),
+            "retries": retries,
+            "models": _names(config, "models", None),
             "runs": _count(config, "runs", 10, 1),
             "tracks": _names(config, "tracks", TRACKS),
             "cases": [by_name[c] for c in _names(config, "cases", CASE_NAMES)],
@@ -346,7 +349,7 @@ def run_benchmark(config: dict, out_csv, attempt_log=None,
     kill, is dropped and its cell runs again."""
     cfg = _validate_config(config)
     if client is None:
-        client = make_client(config)
+        client = make_client(config, cfg["timeout"], cfg["retries"])
     out_csv = Path(out_csv)
     rows = _whole_rows(out_csv)
     done = set(map(cell_key, rows))

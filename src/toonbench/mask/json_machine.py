@@ -88,8 +88,6 @@ def _after_value(stack):
 
 def _close(stack, b):
     """Handle '}' or ']' closing the top frame; returns state or None."""
-    if not stack:
-        return None
     top = stack[-1]
     if b == 0x7D and top[0] == "o":
         return _after_value(stack[:-1])
@@ -112,17 +110,15 @@ def step(state, b: int):
             return _after_value(stack)
         return (stack[:-1] + (("o", stack[-1][1] | {lex[0]}),), ("col",))
 
+    if b in _WS and tag in _WS_STATES:
+        return (stack, micro)
+
     if tag == "start":
         if b == 0x7B:  # '{'
             return ((("o", _EMPTY),), ("k1",))
         return None
 
-    if tag == "end":
-        return (stack, micro) if b in _WS else None
-
     if tag in ("k", "k1"):
-        if b in _WS:
-            return (stack, micro)
         if b == 0x22:
             return (stack, ("ks", keys.KEY))
         if tag == "k1" and b == 0x7D:
@@ -130,15 +126,11 @@ def step(state, b: int):
         return None
 
     if tag == "col":
-        if b in _WS:
-            return (stack, micro)
         if b == 0x3A:  # ':'
             return (stack, ("v",))
         return None
 
     if tag in ("v", "v1"):
-        if b in _WS:
-            return (stack, micro)
         if tag == "v1" and b == 0x5D:
             return _close(stack, b)
         if b == 0x7B:
@@ -179,8 +171,6 @@ def step(state, b: int):
         return None
 
     if tag == "e":
-        if b in _WS:
-            return (stack, micro)
         if b == 0x2C:  # ','
             top = stack[-1]
             return (stack, ("k",)) if top[0] == "o" else (stack, ("v",))

@@ -17,11 +17,11 @@ documents also validate.
 - ``("obj", col, keys)``: unconstrained object, the keys seen so far;
 - ``("sobj", col, fields)``: schema object, the ``(name, type)`` fields still
   to come;
-- ``("larr", col, left)`` / ``("slarr", col, left, elem)``: list array with
-  ``left`` items still owed, unconstrained or of schema type ``elem``;
-- ``("tarr", col, left, cols)`` / ``("starr", col, left, cols)``: tabular
-  array with ``left`` rows still owed; ``cols`` holds one schema type per
-  column, or ``None`` for each column of an unconstrained table.
+- ``("list", col, left, elem)``: list array with ``left`` items still owed,
+  each of schema type ``elem``, or None for an unconstrained list;
+- ``("table", col, left, cols)``: tabular array with ``left`` rows still
+  owed; ``cols`` holds one schema type per column, or None for each column
+  of an unconstrained table.
 
 ``line`` is the micro-state within the current line; its first element is a
 tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.  The
@@ -29,7 +29,9 @@ document starts at ``_START``, a line start that does not accept.
 
 Numerals are lexed by the tables of :mod:`.numerals`: FloatType by ``TOON``,
 IntType by the integer states of ``JSON``.  Every bare value is lexed by
-``sb``; a BoolType value and a schema tabular header are spelled by ``lit``.
+``sb``.  Fixed text is spelled by ``lit``: a BoolType value, a tabular
+header's closing ``:`` (a schema header's names too), and the ``[`` of a
+schema array item.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ def _tabular_schema(s) -> bool:
 
 # Literal-prefix tracking for bare strings under a StrType constraint: the
 # finished lexeme must not read back as a number/bool/null.
-_LITERALS = frozenset(("true", "false", "null"))
-_LIT_PREFIXES = frozenset(w[:i] for w in _LITERALS for i in range(1, len(w) + 1))
+_LIT_PREFIXES = frozenset(w[:i] for w in toon.LITERALS for i in range(1, len(w) + 1))
 
 
 def _schema_depth(s) -> int:
@@ -237,19 +238,25 @@ def _dispatch(stack, b):
     frame = stack[-1]
     tag = frame[0]
     if tag == "obj":
-        if b == 0x22:
-            return (stack, ("q", _KEYEND, keys.KEY))
-        if b in _KEY_START:
-            return (stack, ("key", _KEYEND, chr(b)))
-        return None
+        return _key_start(stack, _KEYEND, b)
     if tag == "sobj":
         return _schema_key(stack, _SKEY0, b) if frame[2] else None
     if frame[2] == 0:
         return None
-    if tag in ("larr", "slarr"):
+    if tag == "list":
         # decrement remaining now; the item line is committed
         return (_take_one(stack), _DASH) if b == 0x2D else None
     return _value_start(stack, ("tvs", frame[3][0], 0), b)
+
+
+def _key_start(stack, cont, b):
+    """First byte of a key that closes into ``cont``: a quote opens a quoted
+    key, a byte of _KEY_START a bare one."""
+    if b == 0x22:
+        return (stack, ("q", cont, keys.KEY))
+    if b in _KEY_START:
+        return (stack, ("key", cont, chr(b)))
+    return None
 
 
 def _taken(stack, cont):
@@ -375,7 +382,7 @@ def _after_count(stack, line, b):
     _, marker, n, ccol = line
     if marker == "u":
         if b == 0x3A:
-            return (stack, ("nl", ("larr", ccol, n)))
+            return (stack, ("nl", ("list", ccol, n, None)))
         if b == 0x7B:
             return (stack, ("hstart", n, (), ccol))
         return None
@@ -385,18 +392,14 @@ def _after_count(stack, line, b):
             return None
         names = ",".join(name for name, _ in elem.fields)
         cols = tuple(fs for _, fs in elem.fields)
-        return (stack, ("lit", names + "}:", 0, ("nl", ("starr", ccol, n, cols))))
-    return (stack, ("nl", ("slarr", ccol, n, elem))) if b == 0x3A else None
+        return (stack, ("lit", names + "}:", 0, ("nl", ("table", ccol, n, cols))))
+    return (stack, ("nl", ("list", ccol, n, elem))) if b == 0x3A else None
 
 
 def _header_start(stack, line, b):
     """Start of an unconstrained tabular header name; the name is lexed as
     a key and then handed to ``hqe``."""
-    if b == 0x22:
-        return (stack, ("q", ("hqe",) + line[1:], keys.KEY))
-    if b in _KEY_START:
-        return (stack, ("key", ("hqe",) + line[1:], chr(b)))
-    return None
+    return _key_start(stack, ("hqe",) + line[1:], b)
 
 
 def _header_end(stack, line, b):
@@ -406,15 +409,9 @@ def _header_end(stack, line, b):
     if b == 0x2C:
         return (stack, ("hstart", n, done + (h,), ccol))
     if b == 0x7D:
-        return (stack, ("ph", n, len(done) + 1, ccol))
+        frame = ("table", ccol, n, (None,) * (len(done) + 1))
+        return (stack, ("lit", ":", 0, ("nl", frame)))
     return None
-
-
-def _header_close(stack, line, b):
-    if b != 0x3A:
-        return None
-    _, n, arity, ccol = line
-    return (stack, ("nl", ("tarr", ccol, n, (None,) * arity)))
 
 
 # -- list items --------------------------------------------------------------
@@ -422,16 +419,16 @@ def _header_close(stack, line, b):
 
 def _dash(stack, line, b):
     frame = stack[-1]
-    elem = frame[3] if frame[0] == "slarr" else None
+    elem = frame[3]
     if b == NL:
         # bare '-' is an empty-object item; under a schema that is only
         # valid when the element type is an empty object
-        if frame[0] == "slarr" and not (isinstance(elem, ObjectType) and not elem.fields):
+        if elem is not None and not (isinstance(elem, ObjectType) and not elem.fields):
             return None
         return _end_line(stack)
     if b != SP:
         return None
-    if frame[0] != "slarr":
+    if elem is None:
         return (stack, _ITEM0)
     if isinstance(elem, ObjectType):
         if not elem.fields:
@@ -439,15 +436,9 @@ def _dash(stack, line, b):
         s2 = _push(stack, ("sobj", frame[1] + 2, elem.fields))
         return None if s2 is None else (s2, _SKEY0)
     if isinstance(elem, ArrayType):
-        return (stack, ("iarr", elem))
+        # header sits two columns right of the dash; its items two more
+        return (stack, ("lit", "[", 0, ("cnt", ("s", elem.element), 0, 0, frame[1] + 4)))
     return (stack, ("tvs", elem, _LIST_ITEM))
-
-
-def _item_array(stack, line, b):
-    if b != 0x5B:
-        return None
-    # header sits two columns right of the dash; its items two more
-    return (stack, ("cnt", ("s", line[1].element), 0, 0, stack[-1][1] + 4))
 
 
 def _item_start(stack, line, b):
@@ -539,7 +530,7 @@ def _bare_value(stack, line, b):
     key."""
     _, num, lit, tsp, ctx = line
     if b == NL or (b == 0x2C and type(ctx) is int):
-        if tsp or num in numerals.ACCEPTING or lit in _LITERALS:
+        if tsp or num in numerals.ACCEPTING or lit in toon.LITERALS:
             return None
         return _value_end(stack, ctx, b)
     if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
@@ -598,10 +589,8 @@ _HANDLERS = {
     "pc": _after_count,  # (marker, n, ccol)
     "hstart": _header_start,  # (n, names, ccol): tabular header name starts
     "hqe": _header_end,  # (n, names, ccol, name): header name read
-    "ph": _header_close,  # (n, arity, ccol): after the header's '}'
-    "lit": _literal,  # (word, pos, then): a bool, or a schema tabular header
+    "lit": _literal,  # (word, pos, then): a bool, a header's closer, an item's '['
     "dash": _dash,  # after a list item's '-'
-    "iarr": _item_array,  # (elem): schema array item, expects '['
     "item0": _item_start,  # after an unconstrained item's "- "
     "ib": _item_bare,  # (chars or None, tsp)
     "iqe": _item_quoted_end,  # (text): item's quoted first token read

@@ -61,17 +61,15 @@ _KEY_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 _KEY_CHARS = _KEY_START + ".-"
 _BARE_KEY_RE = re.compile(f"[{re.escape(_KEY_START)}][{re.escape(_KEY_CHARS)}]*\\Z")
 
+# The bare words that read as a bool or null rather than as a string.
+LITERALS = {"true": True, "false": False, "null": None}
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r", "/": "/"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
 
 def _lex_bare_scalar(text: str) -> Value:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "null":
-        return None
+    if text in LITERALS:
+        return LITERALS[text]
     if _INT_RE.match(text):
         return int(text)
     if _NUM_RE.match(text):
@@ -92,7 +90,7 @@ def _needs_quotes(s: str) -> bool:
         return True
     if s[0] in "{-":
         return True
-    if s in ("true", "false", "null") or _NUM_RE.match(s):
+    if s in LITERALS or _NUM_RE.match(s):
         return True
     return False
 

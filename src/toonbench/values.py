@@ -206,8 +206,6 @@ def emit_canonical_json(v: Value) -> str:
                       ensure_ascii=False, allow_nan=False)
 
 
-
-
 def _kind(v: Value) -> str:
     """What deep_equal compares by; raises ValueError on a non-finite float
     or an unsupported type."""
@@ -230,20 +228,8 @@ def _kind(v: Value) -> str:
     raise ValueError(f"unsupported value type {type(v).__name__}")
 
 
-def canonicalize(v: Value) -> Value:
-    """Recursively sort object keys and fold zero-fraction floats to ints."""
-    kind = _kind(v)
-    if kind == "object":
-        return {k: canonicalize(v[k]) for k in sorted(v)}
-    if kind == "array":
-        return [canonicalize(x) for x in v]
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
-
-
 def _check(*vs) -> None:
-    """Raise ValueError where canonicalize would."""
+    """Raise ValueError where ``_kind`` would, at any depth of ``vs``."""
     for v in vs:
         kind = _kind(v)
         if kind == "object":
@@ -284,12 +270,14 @@ def _first_diff(a: Value, b: Value, path: tuple) -> Optional[DiffPath]:
 
 
 def deep_equal(a: Value, b: Value):
-    """Structural equality, as if on canonicalized values.
+    """Structural equality: object key order does not count, and a number
+    compares by its value.
 
     Returns ``(True, None)`` or ``(False, DiffPath)`` for the first
     difference in depth-first key-sorted order.  ``2`` and ``2.0`` compare
-    equal; ``True`` and ``1`` do not.  Raises ValueError where
-    :func:`canonicalize` would, on either input, without copying them.
+    equal; ``True`` and ``1`` do not.  Raises ValueError on a non-finite
+    float or an unsupported type anywhere in either input, without copying
+    them.
     """
     d = _first_diff(a, b, ())
     return (d is None, d)

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from toonbench.client import ApiError, ScriptedClient, ScriptedTurn
+from toonbench.client import (DEFAULT_RETRIES, DEFAULT_TIMEOUT, ApiError,
+                              ScriptedClient, ScriptedTurn)
 from toonbench.harness import (CSV_COLUMNS, ConfigError, GoldOracleClient,
-                               _csv_row, _whole_rows, _write_rows,
-                               run_benchmark, run_case)
+                               _csv_row, _validate_config, _whole_rows, _write_rows,
+                               make_client, run_benchmark, run_case)
 from toonbench.prompts import TRACKS
 from toonbench.report import SchemaError, aggregate_by_model, load_results
 from toonbench.schemas import CASE_NAMES
@@ -458,6 +459,15 @@ def test_config_errors_abort_early(tmp_path, bad):
         run_benchmark(bad, tmp_path / "r.csv")
     assert not (tmp_path / "r.csv").exists() or \
         (tmp_path / "r.csv").read_text() == ""
+
+
+def test_http_client_gets_the_checked_settings():
+    base = {"provider": "http", "endpoint": HTTP, "models": ["m"]}
+    for config, expected in ((base, (DEFAULT_TIMEOUT, DEFAULT_RETRIES)),
+                             ({**base, "timeout": 5, "retries": 0}, (5.0, 0))):
+        cfg = _validate_config(config)
+        client = make_client(config, cfg["timeout"], cfg["retries"])
+        assert (client.timeout, client.retries) == expected
 
 
 def test_gold_oracle_covers_all_cases_and_tracks(cases):

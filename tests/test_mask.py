@@ -650,6 +650,33 @@ def test_mask_matches_brute_force_at_a_mid_size_vocabulary(cases, mid_vocab):
     assert paths == {True, False}
 
 
+_NESTED_ARRAYS = ObjectType((
+    ("m", ArrayType(ArrayType(IntType()))),
+    ("t", ArrayType(ArrayType(ObjectType((("a", IntType()), ("b", StrType())))))),
+))
+
+
+@pytest.mark.parametrize("schema, doc, fragment", [
+    (_NESTED_ARRAYS, {"m": [[1, 2], [], [3]],
+                      "t": [[{"a": 1, "b": "x y"}, {"a": -2, "b": "true"}], []]},
+     b"  - [2]{a,b}:\n"),
+    (None, {"r": [{"a b": 1, "c": "x"}, {"a b": 2, "c": "y"}]}, b'r[2]{"a b",c}:\n'),
+], ids=["schema-array-items", "quoted-header-name"])
+def test_mask_matches_brute_force_along_array_items_and_header_closers(mid_vocab, schema,
+                                                                       doc, fragment):
+    """A schema array item's '[' and an unconstrained tabular header's ':',
+    each spelled by a literal state: the document is accepted, and the mask
+    equals brute force at every state along it."""
+    data = encode_toon(doc).encode()
+    assert fragment in data
+    st = init_state("toon", schema)
+    for i in range(len(data) + 1):
+        assert allowed_mask(st, mid_vocab).allowed == brute_force_mask(st, mid_vocab), data[:i]
+        if i < len(data):
+            st = step_byte(st, data[i])
+    assert is_accepting(st)
+
+
 def test_closures_take_tokens_longer_than_the_recursion_limit():
     long = b"a" * (sys.getrecursionlimit() + 10)
     vocab = Vocabulary([bytes([b]) for b in range(128)] + [long, long + b'"', b'"' + long])
