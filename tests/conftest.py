@@ -10,6 +10,7 @@ import pytest
 
 from toonbench.schemas import builtin_cases
 from toonbench.mask import load_vocabulary
+from toonbench.mask.keys import MAX_KEY
 from importlib import resources
 
 
@@ -76,3 +77,16 @@ def random_document(rng: random.Random, depth: int = 5) -> dict:
                     for _ in range(rng.randrange(1, 8)))
             for _ in range(rng.randrange(1, 6))}
     return {k: random_value(rng, depth - 1) for k in sorted(keys)}
+
+
+def long_key_documents() -> list:
+    """Key-text states at the bound: full-length keys (bare, quoted with an
+    escape, tabular header names), each followed by a sibling that shares all
+    but its last character, and list items as long as a key and longer."""
+    n = MAX_KEY
+    full, near = "k" * n, "k" * (n - 1) + "j"
+    quoted = 'q "' + "q" * (n - 3)
+    row = {full: 1, near: 2}
+    return [{full: 1, near: {quoted: "v", quoted[:-1] + "j": 2}},
+            {"a" * 50: [{"b" * (n - 3): 1, "c": 2}], "a" * (n - 5) + "\\": "t"},
+            {"rows": [row, row], "items": ["i" * n, "i" * (n + 3), "i, " * 30, {"a": 1}]}]

@@ -9,7 +9,7 @@ from collections import Counter
 from typing import Iterable
 
 import pytest
-from conftest import random_document
+from conftest import long_key_documents, random_document
 from hypothesis import assume, given, settings, strategies as st
 
 import toonbench.mask.engine as engine
@@ -532,19 +532,6 @@ def test_tokenization_independence(cases, vocab):
             assert tok_state == states[pos]
 
 
-def _long_key_documents():
-    """Key-text states at the bound: full-length keys (bare, quoted with an
-    escape, tabular header names), each followed by a sibling that shares all
-    but its last character, and list items as long as a key and longer."""
-    n = toon_machine.MAX_KEY
-    full, near = "k" * n, "k" * (n - 1) + "j"
-    quoted = 'q "' + "q" * (n - 3)
-    row = {full: 1, near: 2}
-    return [{full: 1, near: {quoted: "v", quoted[:-1] + "j": 2}},
-            {"a" * 50: [{"b" * (n - 3): 1, "c": 2}], "a" * (n - 5) + "\\": "t"},
-            {"rows": [row, row], "items": ["i" * n, "i" * (n + 3), "i, " * 30, {"a": 1}]}]
-
-
 def _reached_states(cases, docs):
     """Every state reached along the gold documents and ``docs``, byte by
     byte, in toon, toon+schema and json mode; a document is followed up to
@@ -577,7 +564,7 @@ def test_run_declarations_are_inductive(cases):
     budget of at least k - 1: so every string of up to k bytes from C is
     accepted, which is what the mask's closures rely on."""
     rng = random.Random(41)
-    docs = [random_document(rng, 3) for _ in range(30)] + _long_key_documents()
+    docs = [random_document(rng, 3) for _ in range(30)] + long_key_documents()
     states = _reached_states(cases, docs)
     # bare schema list items, which hold no ':' or '['
     st = init_state("toon", _TAGS)
@@ -609,7 +596,7 @@ def test_no_reached_state_is_a_dead_end(cases):
     documents, and every one-byte successor of one, accepts or takes some
     byte: a mask is never empty where the document may not end."""
     rng = random.Random(29)
-    docs = [random_document(rng, 3) for _ in range(15)] + _long_key_documents()
+    docs = [random_document(rng, 3) for _ in range(15)] + long_key_documents()
     states = _reached_states(cases, docs)
     states |= {nxt for st in states for b in range(256)
                if (nxt := step_byte(st, b)) is not None}
@@ -625,7 +612,7 @@ def mid_vocab(cases):
     random documents and the long-key documents."""
     rng = random.Random(8)
     docs = [c.gold for c in cases] + [random_document(rng, 3) for _ in range(60)]
-    docs += _long_key_documents() * 3
+    docs += long_key_documents() * 3
     corpus = [encode_toon(d) for d in docs] + [emit_canonical_json(d) for d in docs]
     return build_toy_vocabulary(corpus, merges=2000, max_len=10)
 
@@ -635,7 +622,7 @@ def test_mask_matches_brute_force_at_a_mid_size_vocabulary(cases, mid_vocab):
     run's budget falls below its closure's height: masks computed through a
     closure and by the plain walk both equal brute force."""
     rng = random.Random(17)
-    docs = [random_document(rng, 3) for _ in range(10)] + _long_key_documents()
+    docs = [random_document(rng, 3) for _ in range(10)] + long_key_documents()
     states = sorted(_reached_states(cases, docs), key=repr)
     near_bound = [st for st in states if _run(st) is not None and _run(st)[1] < 10]
     sample = rng.sample(states, 120) + rng.sample(near_bound, min(60, len(near_bound)))
