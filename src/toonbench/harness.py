@@ -162,29 +162,31 @@ def run_case(client, model: str, case: CaseSpec, track: str,
 # -- built-in gold-oracle mock provider --------------------------------------
 
 
-class GoldOracleClient:
-    """Deterministic offline provider: recognizes which case and track a
-    prompt belongs to and answers with the gold payload, with usage set to
-    the byte-length estimate.  Used for dry runs and determinism checks."""
+def _gold_answer(case: CaseSpec, track: str) -> str:
+    if track == "T":
+        return "```toon\n" + encode_toon(case.gold) + "```\n"
+    return emit_canonical_json(case.gold)
 
-    def __init__(self, cases: Optional[Sequence[CaseSpec]] = None):
-        self._cases = list(cases) if cases is not None else builtin_cases()
+
+class GoldOracleClient:
+    """Deterministic offline provider: answers the first-attempt prompt of
+    each case and track, as ``render_prompt`` writes it from
+    ``template_dir``, with the gold payload (fenced TOON on the T track,
+    canonical JSON on the others) and usage set to the byte-length estimate.
+    Any other prompt is refused with ApiError(400).  Used for dry runs and
+    determinism checks."""
+
+    def __init__(self, cases: Optional[Sequence[CaseSpec]] = None,
+                 template_dir: Optional[str] = None, tracks: Sequence[str] = TRACKS):
+        cases = builtin_cases() if cases is None else cases
+        self._answers = {render_prompt(c, track, template_dir): _gold_answer(c, track)
+                         for c in cases for track in tracks}
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         prompt = req.messages[-1][1]
-        case = None
-        for cs in self._cases:
-            markers = (cs.task_body.split("\n", 1)[0],
-                       cs.toon_task_body.split("\n", 1)[0])
-            if any(m in prompt for m in markers):
-                case = cs
-                break
-        if case is None:
+        content = self._answers.get(prompt)
+        if content is None:
             raise ApiError(400, "prompt does not match any known case")
-        if "STRICTLY in TOON format" in prompt:
-            content = "```toon\n" + encode_toon(case.gold) + "```\n"
-        else:
-            content = emit_canonical_json(case.gold)
         return ChatResponse(content, estimate_tokens(prompt),
                             estimate_tokens(content))
 
@@ -194,7 +196,8 @@ def make_client(config: dict, timeout: float, retries: int):
     values ``_validate_config`` checked."""
     provider = config.get("provider", "http")
     if provider == "mock":
-        return GoldOracleClient()
+        return GoldOracleClient(template_dir=config.get("template_dir"),
+                                tracks=config.get("tracks", TRACKS))
     if provider == "http":
         from .client import HttpClient
         endpoint = config.get("endpoint")

@@ -5,8 +5,9 @@ entry ends the numeral, which is whole only in an ACCEPTING state.  ``""``
 is the start, then m(minus) z(zero) i(integer) d(dot) f(fraction) e(exponent
 mark) s(exponent sign) x(exponent digits).
 
-- ``JSON`` is RFC 8259: a leading zero stands alone.  Restricted to the
-  INTEGER states (the prefixes of an integer) it lexes ``-?(0|[1-9][0-9]*)``.
+- ``JSON`` is RFC 8259: a leading zero stands alone.  ``INT`` is its rows
+  for the start and the INTEGER states (the prefixes of an integer), kept
+  within them: it lexes IntType's ``-?(0|[1-9][0-9]*)`` in the TOON automaton.
 - ``TOON`` is ``toon._NUM_RE``: the same table, but a leading zero starts an
   integer like any other digit, so z is never entered.
 """
@@ -33,3 +34,6 @@ TOON = {**JSON,
 
 ACCEPTING = frozenset("zifx")
 INTEGER = frozenset("mzi")
+
+INT = {st: {b: nxt for b, nxt in JSON[st].items() if nxt in INTEGER}
+       for st in ("", *INTEGER)}

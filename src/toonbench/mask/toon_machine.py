@@ -27,11 +27,12 @@ documents also validate.
 tag and ``step`` hands the byte to that tag's handler in ``_HANDLERS``.  The
 document starts at ``_START``, a line start that does not accept.
 
-Numerals are lexed by the tables of :mod:`.numerals`: FloatType by ``TOON``,
-IntType by the integer states of ``JSON``.  Every bare value is lexed by
-``sb``.  Fixed text is spelled by ``lit``: a BoolType value, a tabular
-header's closing ``:`` (a schema header's names too), and the ``[`` of a
-schema array item.
+Numerals are lexed by one state, ``num``: IntType by ``numerals.INT``,
+FloatType by ``numerals.TOON``.  Every bare value is lexed by ``sb``.  Fixed
+text is spelled by ``lit``: a schema key and the ``: ``, ``:`` or ``[`` after
+it, a schema array header's ``:`` or ``{names}:`` (names as the encoder's
+``toon._encode_key`` writes them, quoted where it quotes), a BoolType value,
+an unconstrained header's closing ``:`` and a schema array item's ``[``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,16 @@ _LIT_PREFIXES = frozenset(w[:i] for w in toon.LITERALS for i in range(1, len(w) 
 
 
 def _schema_depth(s) -> int:
-    """The frames that a value of schema type ``s`` opens at most."""
+    """The frames that a value of schema type ``s`` opens at most.  Raises
+    ValueError for an object that repeats a field name, which the parser
+    refuses, or has one whose encoding is not printable ASCII."""
     if isinstance(s, ObjectType):
+        names = [name for name, _ in s.fields]
+        if len(set(names)) < len(names):
+            raise ValueError("schema object repeats a field name")
+        for name in names:
+            if not PRINTABLE.issuperset(map(ord, toon._encode_key(name))):
+                raise ValueError(f"schema field name {name!r} is not printable ASCII")
         return 1 + max((_schema_depth(fs) for _, fs in s.fields), default=0)
     if isinstance(s, ArrayType):
         return 1 + _schema_depth(s.element)
@@ -86,10 +95,9 @@ def _schema_depth(s) -> int:
 # Line states without fields, and continuations built once.
 _START = ("ind", 0, "start")  # the first line start, where nothing is accepted
 _IND0 = ("ind", 0)
-_SP0 = ("sp", None)  # after an unconstrained key's ':'
+_SP0 = ("sp",)  # after an unconstrained key's ':'
 _ITEM0 = ("item0",)
 _DASH = ("dash",)
-_SKEY0 = ("skey", 0)
 _KEYEND = ("keyend",)  # after an object key: ':' or '['
 _IQE = ("iqe",)  # after a list item's quoted first token
 _IQV = ("sqe", None)  # after a quoted list item that cannot be a key
@@ -240,7 +248,7 @@ def _dispatch(stack, b):
     if tag == "obj":
         return _key_start(stack, _KEYEND, b)
     if tag == "sobj":
-        return _schema_key(stack, _SKEY0, b) if frame[2] else None
+        return _literal(*_field(stack), b) if frame[2] else None
     if frame[2] == 0:
         return None
     if tag == "list":
@@ -294,14 +302,17 @@ def _bare_key(stack, line, b):
     return _HANDLERS[cont[0]](stack, cont + (text,), b)
 
 
-def _finish_key(stack, key, b, item=False):
-    """``key`` is ended by ':' (a value follows) or '[' (an array header
+def _finish_key(stack, line, b):
+    """A key ends with ':' (a value follows) or '[' (an array header
     follows) and joins the top object frame, which must not hold it yet.  The
-    first key of a list item (``item``) opens that frame, two columns right
-    of the dash."""
+    first key of a list item (``iqe``) opens that frame, two columns right of
+    the dash; a quoted first token ended by NL is a scalar item instead."""
+    tag, key = line
+    if b == NL and tag == "iqe":
+        return _end_line(stack)
     if b != 0x3A and b != 0x5B:
         return None
-    if item:
+    if tag == "iqe":
         stack = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
         if stack is None:
             return None
@@ -317,38 +328,27 @@ def _finish_key(stack, key, b, item=False):
     return (stack, ("cnt", "u", 0, 0, col + 2))
 
 
-def _key_end(stack, line, b):
-    return _finish_key(stack, line[1], b)
-
-
-def _schema_key(stack, line, b):
-    """Schema key, spelled exactly as the next field of the top frame."""
-    pos = line[1]
+def _field(stack):
+    """The next field of the top schema object, taken off it: its key as the
+    encoder writes it, then ': ' and a scalar, ':' and the newline that opens
+    an object, or '[' and an array's count."""
     frame = stack[-1]
-    name, fs = frame[2][0]
-    if pos < len(name):
-        return (stack, ("skey", pos + 1)) if chr(b) == name[pos] else None
-    # key complete: consume the field from the frame
-    s2 = stack[:-1] + (("sobj", frame[1], frame[2][1:]),)
-    if b == 0x3A:
-        if isinstance(fs, ObjectType):
-            return (s2, ("nl", ("sobj", frame[1] + 2, fs.fields)))
-        if _scalar_schema(fs):
-            return (s2, ("sp", fs))
-        return None
-    if b == 0x5B and isinstance(fs, ArrayType):
-        return (s2, ("cnt", ("s", fs.element), 0, 0, frame[1] + 2))
-    return None
+    (name, fs), col = frame[2][0], frame[1]
+    stack = stack[:-1] + (("sobj", col, frame[2][1:]),)
+    key = toon._encode_key(name)
+    if isinstance(fs, ObjectType):
+        return (stack, ("lit", key + ":", 0, ("nl", ("sobj", col + 2, fs.fields))))
+    if isinstance(fs, ArrayType):
+        return (stack, ("lit", key + "[", 0, ("cnt", ("s", fs.element), 0, 0, col + 2)))
+    return (stack, ("lit", key + ": ", 0, ("tvs", fs, None)))
 
 
 def _space(stack, line, b):
-    """After a key's ':', the space before a scalar of schema type ``fs``
-    (None: unconstrained).  After an unconstrained key, NL opens a nested
-    object instead."""
-    fs = line[1]
+    """After an unconstrained key's ':', the space before a scalar, or NL,
+    which opens a nested object."""
     if b == SP:
-        return (stack, ("tvs", fs, None))
-    if b == NL and fs is None:
+        return (stack, ("tvs", None, None))
+    if b == NL:
         s2 = _push(stack, ("obj", stack[-1][1] + 2, _EMPTY))
         return None if s2 is None else _end_line(s2)
     return None
@@ -388,12 +388,10 @@ def _after_count(stack, line, b):
         return None
     elem = marker[1]
     if n > 0 and _tabular_schema(elem):  # the schema forces tabular layout
-        if b != 0x7B:
-            return None
-        names = ",".join(name for name, _ in elem.fields)
-        cols = tuple(fs for _, fs in elem.fields)
-        return (stack, ("lit", names + "}:", 0, ("nl", ("table", ccol, n, cols))))
-    return (stack, ("nl", ("list", ccol, n, elem))) if b == 0x3A else None
+        names = ",".join(toon._encode_key(name) for name, _ in elem.fields)
+        frame = ("table", ccol, n, tuple(fs for _, fs in elem.fields))
+        return _literal(stack, ("lit", "{" + names + "}:", 0, ("nl", frame)), b)
+    return _literal(stack, ("lit", ":", 0, ("nl", ("list", ccol, n, elem))), b)
 
 
 def _header_start(stack, line, b):
@@ -434,7 +432,7 @@ def _dash(stack, line, b):
         if not elem.fields:
             return None
         s2 = _push(stack, ("sobj", frame[1] + 2, elem.fields))
-        return None if s2 is None else (s2, _SKEY0)
+        return None if s2 is None else _field(s2)
     if isinstance(elem, ArrayType):
         # header sits two columns right of the dash; its items two more
         return (stack, ("lit", "[", 0, ("cnt", ("s", elem.element), 0, 0, frame[1] + 4)))
@@ -462,18 +460,12 @@ def _item_bare(stack, line, b):
     can end it."""
     _, chars, tsp = line
     if b == 0x3A or b == 0x5B:
-        return None if tsp or chars is None else _finish_key(stack, chars, b, item=True)
+        return None if tsp or chars is None else _finish_key(stack, ("iqe", chars), b)
     if b == NL:
         return None if tsp else _end_line(stack)  # scalar item
     if chars is not None:
         chars = chars + chr(b) if len(chars) < MAX_KEY else None
     return (stack, ("ib", chars, b == SP))
-
-
-def _item_quoted_end(stack, line, b):
-    if b == NL:
-        return _end_line(stack)  # quoted scalar item
-    return _finish_key(stack, line[1], b, item=True)
 
 
 # -- scalar values and tabular cells -----------------------------------------
@@ -495,19 +487,20 @@ def _value_start(stack, line, b):
             return _bare_value(stack, ("sb", None, None, False, ctx), b)
         return _bare_value(stack, ("sb", "", "", False, ctx), b)
     if isinstance(fs, IntType):
-        return _int_value(stack, ("sint", "", 0, ctx), b)
+        return _numeral(stack, ("num", "", 0, ctx), b)
     if isinstance(fs, FloatType):
-        return _float_value(stack, ("sflt", "", ctx), b)
+        return _numeral(stack, ("num", "", None, ctx), b)
     if isinstance(fs, BoolType):
         word = "true" if b == 0x74 else "false"
         return _literal(stack, ("lit", word, 0, ("sqe", ctx)), b)
     return None
 
 
-def _value_end(stack, ctx, b):
-    """Terminator byte after a scalar: NL ends a value line; a cell ends with
-    ',' when another cell follows and with NL after the last one, which
-    completes the row."""
+def _value_end(stack, line, b):
+    """Terminator byte after a scalar, whose context ``ctx`` ends ``line``:
+    NL ends a value line; a cell ends with ',' when another cell follows and
+    with NL after the last one, which completes the row."""
+    ctx = line[-1]
     if type(ctx) is not int:
         return _end_line(stack) if b == NL else None
     cols = stack[-1][3]
@@ -532,7 +525,7 @@ def _bare_value(stack, line, b):
     if b == NL or (b == 0x2C and type(ctx) is int):
         if tsp or num in numerals.ACCEPTING or lit in toon.LITERALS:
             return None
-        return _value_end(stack, ctx, b)
+        return _value_end(stack, line, b)
     if (b == 0x3A or b == 0x5B) and ctx == _LIST_ITEM:
         return None
     if num is not None:
@@ -544,24 +537,18 @@ def _bare_value(stack, line, b):
     return (stack, ("sb", num, lit, b == SP, ctx))
 
 
-def _int_value(stack, line, b):
-    """IntType: the integer states of ``numerals.JSON``, at most
-    MAX_INT_DIGITS digits."""
+def _numeral(stack, line, b):
+    """IntType by ``numerals.INT``, ``nd`` counting its digits up to
+    MAX_INT_DIGITS; FloatType by ``numerals.TOON``, ``nd`` None."""
     _, st, nd, ctx = line
-    nxt = numerals.JSON[st].get(b)
-    if nxt in numerals.INTEGER:
-        if nxt != "m":  # a digit
-            nd += 1
-        return (stack, ("sint", nxt, nd, ctx)) if nd <= MAX_INT_DIGITS else None
-    return _value_end(stack, ctx, b) if st in numerals.ACCEPTING else None
-
-
-def _float_value(stack, line, b):
-    _, st, ctx = line
-    nxt = numerals.TOON[st].get(b)
-    if nxt is not None:
-        return (stack, ("sflt", nxt, ctx))
-    return _value_end(stack, ctx, b) if st in numerals.ACCEPTING else None
+    nxt = (numerals.TOON if nd is None else numerals.INT)[st].get(b)
+    if nxt is None:
+        return _value_end(stack, line, b) if st in numerals.ACCEPTING else None
+    if nd is not None and nxt != "m":  # a digit
+        nd += 1
+        if nd > MAX_INT_DIGITS:
+            return None
+    return (stack, ("num", nxt, nd, ctx))
 
 
 def _literal(stack, line, b):
@@ -572,30 +559,24 @@ def _literal(stack, line, b):
     return (stack, ("lit", word, pos + 1, then)) if chr(b) == word[pos] else None
 
 
-def _quoted_value_end(stack, line, b):
-    return _value_end(stack, line[1], b)
-
-
 _HANDLERS = {
     "ind": _indent,  # (n), and the document's start (0, "start")
     "key": _bare_key,  # (cont, text)
     "q": _quoted,  # (cont, lex): lex is keys.quoted's (text, esc)
-    "keyend": _key_end,  # (key): object key read
-    "skey": _schema_key,  # (pos): schema key spelled up to pos
-    "sp": _space,  # (fs): after a scalar key's ':', fs None if unconstrained
+    "keyend": _finish_key,  # (key): object key read
+    "sp": _space,  # after an unconstrained key's ':'
     "tvs": _value_start,  # (fs, ctx): scalar value or cell starts
     "nl": _open_frame,  # (frame): header line done
     "cnt": _count,  # (marker, val, ndigits, ccol): array count digits
     "pc": _after_count,  # (marker, n, ccol)
     "hstart": _header_start,  # (n, names, ccol): tabular header name starts
     "hqe": _header_end,  # (n, names, ccol, name): header name read
-    "lit": _literal,  # (word, pos, then): a bool, a header's closer, an item's '['
+    "lit": _literal,  # (word, pos, then): fixed text, schema keys and headers included
     "dash": _dash,  # after a list item's '-'
     "item0": _item_start,  # after an unconstrained item's "- "
     "ib": _item_bare,  # (chars or None, tsp)
-    "iqe": _item_quoted_end,  # (text): item's quoted first token read
-    "sint": _int_value,  # (st, ndigits, ctx)
-    "sflt": _float_value,  # (st, ctx)
+    "iqe": _finish_key,  # (text): item's quoted first token read
+    "num": _numeral,  # (st, ndigits or None, ctx): IntType or FloatType
     "sb": _bare_value,  # (num, lit, tsp, ctx): bare value or cell
-    "sqe": _quoted_value_end,  # (ctx): quoted value or cell read
+    "sqe": _value_end,  # (ctx): quoted value or cell read
 }

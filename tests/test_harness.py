@@ -8,11 +8,11 @@ import sys
 import pytest
 
 from toonbench.client import (DEFAULT_RETRIES, DEFAULT_TIMEOUT, ApiError,
-                              ScriptedClient, ScriptedTurn)
+                              ChatRequest, ScriptedClient, ScriptedTurn)
 from toonbench.harness import (CSV_COLUMNS, ConfigError, GoldOracleClient,
                                _csv_row, _validate_config, _whole_rows, _write_rows,
                                make_client, run_benchmark, run_case)
-from toonbench.prompts import TRACKS
+from toonbench.prompts import TRACKS, render_prompt, render_repair_prompt
 from toonbench.report import SchemaError, aggregate_by_model, load_results
 from toonbench.schemas import CASE_NAMES
 from toonbench.toon import encode_toon
@@ -480,3 +480,31 @@ def test_gold_oracle_covers_all_cases_and_tracks(cases):
             resp = client.complete(ChatRequest(model="m",
                                                messages=(("user", prompt),)))
             assert resp.prompt_tokens > 0 and resp.completion_tokens > 0
+
+
+def test_mock_answers_the_prompts_of_its_template_dir(tmp_path):
+    """A T template without the packaged wording: the mock provider still
+    answers every first-attempt prompt that the sweep renders from it, so
+    every track solves every case in one attempt."""
+    (tmp_path / "toon_prompt.txt").write_text("Answer in TOON.\nTASK:\n$task\n")
+    (tmp_path / "repair_prompt.txt").write_text("$original\n$previous\n$errors\n$fmt\n")
+    out = tmp_path / "r.csv"
+    run_benchmark({**MOCK_CFG, "runs": 1, "template_dir": str(tmp_path)}, out)
+    by_track = aggregate_by_model(load_results(out))["oracle-1"]
+    assert [m["one_shot"] for m in by_track.values()] == [1.0] * len(TRACKS)
+
+
+def test_mock_reads_no_template_of_a_track_the_sweep_leaves_out(tmp_path):
+    out = tmp_path / "r.csv"
+    run_benchmark({**MOCK_CFG, "runs": 1, "tracks": ["J"], "template_dir": str(tmp_path)}, out)
+    assert aggregate_by_model(load_results(out))["oracle-1"]["J"]["one_shot"] == 1.0
+
+
+def test_mock_refuses_prompts_it_does_not_know(case_by_name):
+    order = case_by_name["order"]
+    client = GoldOracleClient()
+    for prompt in ("hello", render_prompt(order, "T") + "\n",
+                   render_repair_prompt(order, "T", "x: 1\n", "wrong")):
+        with pytest.raises(ApiError) as e:
+            client.complete(ChatRequest(model="m", messages=(("user", prompt),)))
+        assert e.value.status == 400

@@ -656,12 +656,55 @@ def test_mask_matches_brute_force_along_array_items_and_header_closers(mid_vocab
     equals brute force at every state along it."""
     data = encode_toon(doc).encode()
     assert fragment in data
+    _assert_masks_along(mid_vocab, schema, data)
+
+
+def _assert_masks_along(vocab, schema, data: bytes):
+    """``data`` is accepted in toon mode, and the mask equals brute force at
+    every state along it."""
     st = init_state("toon", schema)
     for i in range(len(data) + 1):
-        assert allowed_mask(st, mid_vocab).allowed == brute_force_mask(st, mid_vocab), data[:i]
+        assert allowed_mask(st, vocab).allowed == brute_force_mask(st, vocab), data[:i]
         if i < len(data):
             st = step_byte(st, data[i])
+            assert st is not None, data[:i + 1]
     assert is_accepting(st)
+
+
+_ROW = ObjectType((("x,y", IntType()), ("z", BoolType())))
+
+
+@pytest.mark.parametrize("schema, doc, bare", [
+    (ObjectType((("a:b", IntType()),)), {"a:b": 1}, b"a:b: 1\n"),
+    (ObjectType((("a b", ObjectType((("c", IntType()),))),)), {"a b": {"c": 1}},
+     b"a b:\n  c: 1\n"),
+    (ObjectType((("-x", ArrayType(IntType())),)), {"-x": [1, 2]}, b"-x[2]:\n  - 1\n  - 2\n"),
+    (ObjectType((("", StrType()),)), {"": "v"}, b": v\n"),
+    (ObjectType((("t", ArrayType(_ROW)),)), {"t": [{"x,y": 1, "z": True}]},
+     b"t[1]{x,y,z}:\n  1,true\n"),
+], ids=["colon", "space-object", "dash-array", "empty", "comma-header"])
+def test_schema_names_are_spelled_as_the_encoder_quotes_them(mid_vocab, schema, doc, bare):
+    """A schema field or header name that the encoder quotes: its document is
+    accepted and parses and validates, the bare spelling is refused, and the
+    mask equals brute force at every state along the document."""
+    data = encode_toon(doc).encode()
+    assert parse_toon(data.decode()).root == doc and validate(doc, schema) == []
+    assert not _accepts(init_state("toon", schema), bare)
+    _assert_masks_along(mid_vocab, schema, data)
+
+
+@pytest.mark.parametrize("schema", [
+    ObjectType((("a", IntType()), ("a", IntType()))),
+    ObjectType((("l", ArrayType(ObjectType((("b", IntType()), ("b", StrType()))))),)),
+    ObjectType((("é", IntType()),)),
+    ObjectType((("o", ObjectType((("\x01", IntType()),))),)),
+], ids=["repeated", "repeated-in-item", "non-ascii", "control-nested"])
+def test_schemas_the_automaton_cannot_spell_are_refused_at_init(schema):
+    """A repeated field name, which the parser refuses as a duplicate key,
+    and a name whose encoding is not printable ASCII, which would leave the
+    automaton no legal byte."""
+    with pytest.raises(UnsupportedSchemaError):
+        init_state("toon", schema)
 
 
 def test_closures_take_tokens_longer_than_the_recursion_limit():
