@@ -100,11 +100,11 @@ def record(m, machine) -> bytes:
     return verdicts + bytes([m.accepting(machine)]) + repr(run).encode()
 
 
-def walks(memo=None):
+def walks():
     """``(key, data, records)`` for each document and each of its mutants:
     the records of the states along ``data``, its start included, up to its
     first refused byte."""
-    memo = {} if memo is None else memo
+    memo = {}  # (machine module, state) -> record
     for key, schema, doc in documents():
         mode = key.split("/")[0]
         m = _MACHINES[mode]
