@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Union
 
 from .toon import _INT_RE, _NUM_RE, encode_toon
-from .values import Value, emit_canonical_json, format_path
+from .values import Value, emit_canonical_json, format_path, kind
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ObjectType:
     fields: tuple = ()  # tuple of (name, Schema); all required
     kind: str = "object"
 
-    def field_map(self) -> dict:
-        return dict(self.fields)
-
 
 @dataclass(frozen=True)
 class ArrayType:
@@ -58,71 +55,41 @@ class ValidationError:
         return f"{format_path(self.path)}: expected {self.expected}, found {self.found}"
 
 
-def _found_kind(v: Value) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, float):
-        return "float"
-    if isinstance(v, str):
-        return "str"
-    if isinstance(v, dict):
-        return "object"
-    return "array"
-
-
 def validate(v: Value, s: Schema, _path=()) -> list:
     """Structural validation with lenient numeric coercion.
 
     Numeric strings satisfy Int/FloatType, ints satisfy FloatType, and
     zero-fraction floats satisfy IntType.  All object fields are required
     and unknown extras are errors.  Returns a list of ValidationError
-    (empty means valid).
+    (empty means valid).  Raises ValueError where ``values.kind`` does, on
+    a part of ``v`` that is not a Value.
     """
-    errors: list = []
-    kind = s.kind
-    found = _found_kind(v)
-    if kind == "int":
-        ok = (found == "int"
-              or (found == "float" and v.is_integer())
+    expected, found = s.kind, kind(v)
+    if expected == "int":
+        ok = (found == "int" or (found == "float" and v.is_integer())
               or (found == "str" and _INT_RE.match(v)))
-        if not ok:
-            errors.append(ValidationError(_path, "int", found))
-    elif kind == "float":
-        ok = (found in ("int", "float")
-              or (found == "str" and _NUM_RE.match(v)))
-        if not ok:
-            errors.append(ValidationError(_path, "float", found))
-    elif kind == "str":
-        if found != "str":
-            errors.append(ValidationError(_path, "str", found))
-    elif kind == "bool":
-        if found != "bool":
-            errors.append(ValidationError(_path, "bool", found))
-    elif kind == "object":
-        if found != "object":
-            errors.append(ValidationError(_path, "object", found))
-        else:
-            fmap = s.field_map()
-            for name, fs in s.fields:
-                if name not in v:
-                    errors.append(ValidationError(_path + (name,), fs.kind, "missing"))
-                else:
-                    errors.extend(validate(v[name], fs, _path + (name,)))
-            for name in v:
-                if name not in fmap:
-                    errors.append(ValidationError(_path + (name,), "absent", "extra field"))
-    elif kind == "array":
-        if found != "array":
-            errors.append(ValidationError(_path, "array", found))
-        else:
-            for i, item in enumerate(v):
-                errors.extend(validate(item, s.element, _path + (i,)))
+    elif expected == "float":
+        ok = found in ("int", "float") or (found == "str" and _NUM_RE.match(v))
+    elif expected in ("str", "bool", "object", "array"):
+        ok = found == expected
     else:  # pragma: no cover
-        raise ValueError(f"unknown schema kind {kind!r}")
+        raise ValueError(f"unknown schema kind {expected!r}")
+    errors: list = []
+    if not ok:
+        errors.append(ValidationError(_path, expected, found))
+    elif found == "object":
+        for name, fs in s.fields:
+            if name not in v:
+                errors.append(ValidationError(_path + (name,), fs.kind, "missing"))
+            else:
+                errors.extend(validate(v[name], fs, _path + (name,)))
+        known = dict(s.fields)
+        for name in v:
+            if name not in known:
+                errors.append(ValidationError(_path + (name,), "absent", "extra field"))
+    elif found == "array":
+        for i, item in enumerate(v):
+            errors.extend(validate(item, s.element, _path + (i,)))
     return errors
 
 

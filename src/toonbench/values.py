@@ -2,7 +2,9 @@
 
 Values are plain Python objects: ``None``, ``bool``, ``int``, ``float``,
 ``str``, ``dict`` (ordered, unique keys), ``list``.  Floats must be finite;
-NaN and infinities are rejected everywhere.
+NaN and infinities are rejected everywhere.  :func:`kind` names a Value's
+kind and is the one type dispatch of the package: ``check_value``,
+``deep_equal`` and ``schemas.validate`` all walk with it.
 """
 
 from __future__ import annotations
@@ -178,25 +180,40 @@ def parse_json(text: str) -> Value:
     raise error from None
 
 
+# A Value's kind by its exact type; ``kind`` looks a subclass up by isinstance.
+_KINDS = {type(None): "null", bool: "bool", int: "int", float: "float",
+          str: "str", dict: "object", list: "array"}
+_NUMBERS = ("int", "float")  # one kind to deep_equal
+
+
+def kind(v: Value) -> str:
+    """The kind of ``v``: ``null``, ``bool``, ``int``, ``float``, ``str``,
+    ``object`` or ``array``.  Raises ValueError on a non-finite float or a
+    type that is not a Value's."""
+    found = _KINDS.get(type(v))
+    if found is None:
+        found = next((k for t, k in _KINDS.items() if isinstance(v, t)), None)
+        if found is None:
+            raise ValueError(f"unsupported value type {type(v).__name__}")
+    if found == "float" and not math.isfinite(v):
+        raise ValueError("non-finite float")
+    return found
+
+
 def check_value(v: Value, _path=()):
     """Raise ValueError if *v* is not a well-formed Value."""
-    if v is None or isinstance(v, (bool, int, str)):
-        return
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite float at {format_path(_path)}")
-        return
-    if isinstance(v, dict):
+    try:
+        found = kind(v)
+    except ValueError as e:
+        raise ValueError(f"{e} at {format_path(_path)}") from None
+    if found == "object":
         for k, child in v.items():
             if not isinstance(k, str):
                 raise ValueError(f"non-string key at {format_path(_path)}")
             check_value(child, _path + (k,))
-        return
-    if isinstance(v, list):
+    elif found == "array":
         for i, child in enumerate(v):
             check_value(child, _path + (i,))
-        return
-    raise ValueError(f"unsupported value type {type(v).__name__} at {format_path(_path)}")
 
 
 def emit_canonical_json(v: Value) -> str:
@@ -206,47 +223,25 @@ def emit_canonical_json(v: Value) -> str:
                       ensure_ascii=False, allow_nan=False)
 
 
-def _kind(v: Value) -> str:
-    """What deep_equal compares by; raises ValueError on a non-finite float
-    or an unsupported type."""
-    if isinstance(v, str):
-        return "string"
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "number"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError("non-finite float")
-        return "number"
-    if v is None:
-        return "null"
-    if isinstance(v, dict):
-        return "object"
-    if isinstance(v, list):
-        return "array"
-    raise ValueError(f"unsupported value type {type(v).__name__}")
-
-
 def _check(*vs) -> None:
-    """Raise ValueError where ``_kind`` would, at any depth of ``vs``."""
+    """Raise ValueError where ``kind`` would, at any depth of ``vs``."""
     for v in vs:
-        kind = _kind(v)
-        if kind == "object":
+        found = kind(v)
+        if found == "object":
             _check(*v.values())
-        elif kind == "array":
+        elif found == "array":
             _check(*v)
 
 
 def _first_diff(a: Value, b: Value, path: tuple) -> Optional[DiffPath]:
     """The first difference in depth-first key-sorted order.  The walk goes
     on past it, so that every node of both inputs is checked once."""
-    kind = _kind(a)
-    if kind != _kind(b):
+    ka, kb = kind(a), kind(b)
+    if ka != kb and not (ka in _NUMBERS and kb in _NUMBERS):
         _check(a, b)
         return DiffPath(path, "type-mismatch")
     diff = None
-    if kind == "object":
+    if ka == "object":
         for k in sorted(a.keys() | b.keys()):
             if k not in b:
                 _check(a[k])
@@ -257,7 +252,7 @@ def _first_diff(a: Value, b: Value, path: tuple) -> Optional[DiffPath]:
             else:
                 d = _first_diff(a[k], b[k], path + (k,))
             diff = diff or d
-    elif kind == "array":
+    elif ka == "array":
         if len(a) != len(b):
             _check(a, b)
             return DiffPath(path, "length-mismatch")
