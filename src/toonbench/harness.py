@@ -245,21 +245,47 @@ def _count(config: dict, key: str, default: int, least: int) -> int:
     return value
 
 
+def _check_templates(cfg: dict, repairs: bool) -> None:
+    """Render each case and track's first prompt from ``cfg["template_dir"]``,
+    and a repair prompt where ``repairs``, so that a template that is
+    missing, unreadable or names an unknown placeholder stops the sweep
+    before its first request."""
+    template_dir = cfg["template_dir"]
+    if not isinstance(template_dir, str):
+        raise ConfigError("'template_dir' must be a directory path")
+    try:
+        for case in cfg["cases"]:
+            for track in cfg["tracks"]:
+                render_prompt(case, track, template_dir)
+                if repairs:
+                    render_repair_prompt(case, track, "", "error", template_dir)
+    except KeyError as e:
+        raise ConfigError(f"template_dir {template_dir}: unknown placeholder ${e.args[0]}")
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"template_dir {template_dir}: {e}")
+
+
 def _validate_config(config: dict) -> dict:
     retries = _count(config, "retries", DEFAULT_RETRIES, 0)
     timeout = config.get("timeout", DEFAULT_TIMEOUT)
     if type(timeout) not in (int, float) or not 0 < timeout < float("inf"):
         raise ConfigError("'timeout' must be a positive number of seconds")
     by_name = {c.name: c for c in builtin_cases()}
-    return {"timeout": float(timeout),
-            "retries": retries,
-            "models": _names(config, "models", None),
-            "runs": _count(config, "runs", 10, 1),
-            "tracks": _names(config, "tracks", TRACKS),
-            "cases": [by_name[c] for c in _names(config, "cases", CASE_NAMES)],
-            "max_repairs": _count(config, "max_repairs", MAX_REPAIRS, 0),
-            "parallelism": _count(config, "parallelism", 1, 1),
-            "template_dir": config.get("template_dir")}
+    cfg = {"timeout": float(timeout),
+           "retries": retries,
+           "models": _names(config, "models", None),
+           "runs": _count(config, "runs", 10, 1),
+           "tracks": _names(config, "tracks", TRACKS),
+           "cases": [by_name[c] for c in _names(config, "cases", CASE_NAMES)],
+           "max_repairs": _count(config, "max_repairs", MAX_REPAIRS, 0),
+           "parallelism": _count(config, "parallelism", 1, 1),
+           "template_dir": config.get("template_dir")}
+    if cfg["template_dir"] is not None:
+        # the mock answers every first prompt with the gold, so it never
+        # gets a repair prompt
+        _check_templates(cfg, cfg["max_repairs"] > 0
+                         and config.get("provider", "http") != "mock")
+    return cfg
 
 
 # The cell a results row belongs to.  A CSV holds one row per cell: resume

@@ -4,8 +4,11 @@ An automaton's state inside a quoted string holds the lexer state ``lex``,
 a pair ``(text, esc)``.  ``text`` is a key's text so far, decoded as its
 parser reads it, or None in a value, whose text is not kept.  ``esc`` is 0
 in plain text, 1 after a backslash, and ``-(8 * v + k)`` while ``k`` hex
-digits of a ``\\u`` escape are owed, ``v`` being the value of those read
-(always 0 in a value).
+digits of a ``\\u`` escape are owed, ``v`` being the value of those read,
+in a key and in a value alike.  A surrogate escape (``\\uD800`` to
+``\\uDFFF``) is refused at its second hex digit, also where a pair would
+join into one character: the parsers refuse a lone surrogate, and the
+automata take none.
 
 A key holds at most MAX_KEY characters, an escape counting as one.  Whether
 a key is taken is the caller's ``taken(stack, cont)``, asked only at a
@@ -59,11 +62,11 @@ def grow(text, ch, taken, stack, cont):
 def quoted(lex, b, table, taken, stack, cont):
     """Byte ``b`` of a quoted string whose escapes are those of a parser's
     ``table`` (the character after a backslash -> the character it stands
-    for) and ``\\u`` plus 4 hex digits: the next lexer state (``lex``
-    itself where it stays), CLOSED after the closing quote, or None where
-    ``b`` is refused.  A key refuses a byte that would leave it no longer a
-    key, its closing quote where it is taken, and a backslash once it is
-    full."""
+    for) and ``\\u`` plus 4 hex digits, no surrogate: the next lexer state
+    (``lex`` itself where it stays), CLOSED after the closing quote, or None
+    where ``b`` is refused.  A key refuses a byte that would leave it no
+    longer a key, its closing quote where it is taken, and a backslash once
+    it is full."""
     text, esc = lex
     if esc == 0:
         if b in TEXT:
@@ -89,11 +92,14 @@ def quoted(lex, b, table, taken, stack, cont):
         if digit is None:
             return None
         v, k = divmod(-esc, 8)
-        if text is None:
-            return (None, 1 - k)
+        v = 16 * v + digit
+        if k == 3 and 0xD8 <= v < 0xE0:  # a surrogate, refused at its second digit
+            return None
         if k > 1:
-            return (text, -(8 * (16 * v + digit) + k - 1))
-        ch = chr(16 * v + digit)
+            return (text, -(8 * v + k - 1))
+        if text is None:
+            return VALUE
+        ch = chr(v)
     text += ch  # grow(), inlined: a plain key byte costs this one call
     return (text, 0) if len(text) < MAX_KEY or _full(text, taken, stack, cont) else None
 

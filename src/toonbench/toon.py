@@ -109,7 +109,9 @@ def _encode_scalar(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, float)):
-        return repr(v) if isinstance(v, float) else str(v)
+        # the spelling of int and float themselves: before Python 3.11 the
+        # str() of an IntEnum member is its name
+        return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
     assert isinstance(v, str)
     return _quote(v) if _needs_quotes(v) else v
 
@@ -237,6 +239,7 @@ _NAME_RE = re.compile(r"[^,}]*")  # a bare tabular header name
 _CELL_RE = re.compile(r"[^,]*")  # a bare row cell
 _PLAIN_RE = re.compile(r'[^"\\]*')  # quoted text up to a quote or backslash
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
+_LOW_ESCAPE_RE = re.compile(r"\\u([dD][c-fC-F][0-9a-fA-F]{2})")  # a low surrogate's escape
 
 
 def _is_item(ln: _Line) -> bool:
@@ -454,8 +457,14 @@ class _ToonParser:
             elif esc == "u":
                 if not _HEX4_RE.match(text, j + 2):
                     self.error(ln, j, "bad-escape", "invalid \\u escape")
-                out.append(chr(int(text[j + 2:j + 6], 16)))
-                i = j + 6
+                code, i = int(text[j + 2:j + 6], 16), j + 6
+                low = _LOW_ESCAPE_RE.match(text, i) if 0xD800 <= code < 0xDC00 else None
+                if low:  # a surrogate pair stands for one character, as in JSON
+                    code = 0x10000 + ((code - 0xD800) << 10) + int(low.group(1), 16) - 0xDC00
+                    i = low.end()
+                elif 0xD800 <= code < 0xE000:
+                    self.error(ln, j, "bad-escape", "lone surrogate escape")
+                out.append(chr(code))
             else:
                 self.error(ln, j, "bad-escape", f"invalid escape \\{esc}")
 

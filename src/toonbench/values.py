@@ -103,13 +103,17 @@ _TOKEN = re.compile(r"""[ \t\n\r]*(?:
                     re.VERBOSE | re.DOTALL)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _line_col(text: str, pos: int):
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _first_refusal(text: str, end: int):
     """Scan the tokens that end by ``end``, a prefix json has decoded, for
-    the first duplicate key, non-finite constant or overflowing number.
+    the first duplicate key, non-finite constant, overflowing number or
+    string holding a lone surrogate escape.
 
     Returns ``(error or None, start of the first container opened at the
     deepest nesting seen)``.  The scan also stops at text json rejects."""
@@ -120,39 +124,45 @@ def _first_refusal(text: str, end: int):
         m = _TOKEN.match(text, pos)
         if m is None or m.end() > end:
             return None, deepest_at
-        pos, kind = m.end(), m.lastgroup
-        if kind == "open":
-            keys.append(set() if m.group(kind) == "{" else None)
+        pos, token = m.end(), m.lastgroup
+        if token == "open":
+            keys.append(set() if m.group(token) == "{" else None)
             path.append(0)
             if len(keys) > deepest:
-                deepest, deepest_at = len(keys), m.start(kind)
-        elif kind in ("close", "comma") and not keys:
+                deepest, deepest_at = len(keys), m.start(token)
+        elif token in ("close", "comma") and not keys:
             return None, deepest_at
-        elif kind == "close":
+        elif token == "close":
             keys.pop()
             path.pop()
-        elif kind == "comma":
+        elif token == "comma":
             if keys[-1] is None:
                 path[-1] += 1
-        elif kind == "string" and prev in ("open", "comma") and keys[-1] is not None:
+        elif token == "string":
+            is_key = prev in ("open", "comma") and keys[-1] is not None
+            if is_key or "\\u" in m.group(token):
+                try:
+                    string = json.decoder.scanstring(m.group(token), 1)[0]
+                except ValueError:
+                    return None, deepest_at
+                if _SURROGATE.search(string):
+                    return JsonParseError(*_line_col(text, m.start(token)),
+                                          "lone surrogate escape"), deepest_at
+                if is_key:
+                    if string in keys[-1]:
+                        return DuplicateKeyError(path[:-1], string,
+                                                 *_line_col(text, m.start(token))), deepest_at
+                    keys[-1].add(string)
+                    path[-1] = string
+        elif token == "constant":
+            return JsonParseError(*_line_col(text, m.start(token)),
+                                  f"non-finite constant {m.group(token)}"), deepest_at
+        elif token == "number":
             try:
-                key = json.decoder.scanstring(m.group(kind), 1)[0]
-            except ValueError:
-                return None, deepest_at
-            if key in keys[-1]:
-                line, column = _line_col(text, m.start(kind))
-                return DuplicateKeyError(path[:-1], key, line, column), deepest_at
-            keys[-1].add(key)
-            path[-1] = key
-        elif kind == "constant":
-            return JsonParseError(*_line_col(text, m.start(kind)),
-                                  f"non-finite constant {m.group(kind)}"), deepest_at
-        elif kind == "number":
-            try:
-                (_finite_float if m.group("float") else int)(m.group(kind))
+                (_finite_float if m.group("float") else int)(m.group(token))
             except ValueError as e:
-                return JsonParseError(*_line_col(text, m.start(kind)), str(e)), deepest_at
-        prev = kind
+                return JsonParseError(*_line_col(text, m.start(token)), str(e)), deepest_at
+        prev = token
 
 
 def parse_json(text: str) -> Value:
@@ -166,7 +176,7 @@ def parse_json(text: str) -> Value:
     and column of the first problem in document order.
     """
     try:
-        return _DECODER.decode(text)
+        value = _DECODER.decode(text)
     except json.JSONDecodeError as e:
         error = (_first_refusal(text, e.pos)[0]
                  or JsonParseError(e.lineno, e.colno, e.msg))
@@ -177,6 +187,10 @@ def parse_json(text: str) -> Value:
         error = _first_refusal(text, len(text))[0]
         if error is None:
             raise
+    else:  # json joins a surrogate pair and keeps a lone surrogate
+        error = "\\u" in text and _first_refusal(text, len(text))[0]
+        if not error:
+            return value
     raise error from None
 
 

@@ -39,6 +39,16 @@ def test_decode_count_mismatch_exits_one(tmp_path, capsys, case_by_name):
     assert "count-mismatch" in capsys.readouterr().err
 
 
+def test_decode_joins_a_surrogate_pair_and_refuses_a_lone_one(tmp_path, capsys):
+    p = tmp_path / "k.toon"
+    p.write_text('k: "\\ud83d\\ude00"\n')
+    assert main(["decode", str(p)]) == 0
+    assert capsys.readouterr().out == '{"k":"\U0001f600"}\n'
+    p.write_text('k: "\\ud83d"\n')
+    assert main(["decode", str(p)]) == 1
+    assert "line 1, column 5: bad-escape" in capsys.readouterr().err
+
+
 def test_encode_bad_json_exits_one(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"a": }')
@@ -135,6 +145,14 @@ def test_bench_invalid_config_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"provider": "mock", "models": []}))
     assert main(["bench", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_with_a_missing_template_dir_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"provider": "mock", "models": ["m"],
+                               "template_dir": str(tmp_path / "nope")}))
+    assert main(["bench", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "template_dir" in capsys.readouterr().err
 
 
 def test_report_bad_csv_exits_two(tmp_path, capsys):

@@ -461,6 +461,58 @@ def test_config_errors_abort_early(tmp_path, bad):
         (tmp_path / "r.csv").read_text() == ""
 
 
+class Recording:
+    """A client that records every request and answers none."""
+
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        raise ApiError(500, "no answer")
+
+
+REPAIR = "$original\n$previous\n$errors\n$fmt\n"
+
+
+@pytest.mark.parametrize("templates, config", [
+    ({"repair_prompt.txt": REPAIR}, {}),  # no toon_prompt.txt
+    ({"toon_prompt.txt": "$rules\n$task\n", "repair_prompt.txt": REPAIR}, {}),
+    ({"toon_prompt.txt": "$task\n$\n", "repair_prompt.txt": REPAIR}, {}),
+    ({"toon_prompt.txt": "$task\n"}, {"tracks": ["J", "T"]}),  # no repair_prompt.txt
+    ({"toon_prompt.txt": "$task\n", "repair_prompt.txt": "$original $oops\n"}, {}),
+    ({}, {"tracks": ["J"]}),  # a J repair prompt needs repair_prompt.txt
+    ({}, {"template_dir": 5}),
+    ({}, {"template_dir": ["t"]}),
+], ids=["no-toon-template", "unknown-name", "bad-placeholder", "no-repair-template",
+        "unknown-repair-name", "empty-dir-J", "number", "list"])
+def test_a_bad_template_dir_is_a_config_error_before_any_request(tmp_path, templates, config):
+    for name, text in templates.items():
+        (tmp_path / name).write_text(text)
+    client = Recording()
+    with pytest.raises(ConfigError):
+        run_benchmark({"provider": "http", "endpoint": HTTP, "models": ["m"], "runs": 1,
+                       "template_dir": str(tmp_path), **config},
+                      tmp_path / "r.csv", client=client)
+    assert client.requests == []
+
+
+def test_a_template_dir_needs_a_repair_template_only_where_a_repair_may_follow(tmp_path):
+    """With no repair attempt the sweep renders no repair prompt, so a
+    template_dir without one is fine; and the mock provider answers every
+    first prompt with the gold."""
+    (tmp_path / "toon_prompt.txt").write_text("TOON please\n$task\n")
+    http = {"provider": "http", "endpoint": HTTP, "models": ["m"], "runs": 1,
+            "template_dir": str(tmp_path)}
+    out = tmp_path / "r.csv"
+    run_benchmark({**http, "max_repairs": 0}, out,
+                  client=GoldOracleClient(template_dir=str(tmp_path)))
+    assert len(load_results(out)) == len(CASE_NAMES) * len(TRACKS)
+    run_benchmark({**MOCK_CFG, "runs": 1, "template_dir": str(tmp_path)}, tmp_path / "m.csv")
+    with pytest.raises(ConfigError):
+        run_benchmark({**http, "max_repairs": 1}, tmp_path / "x.csv", client=Recording())
+
+
 def test_http_client_gets_the_checked_settings():
     base = {"provider": "http", "endpoint": HTTP, "models": ["m"]}
     for config, expected in ((base, (DEFAULT_TIMEOUT, DEFAULT_RETRIES)),

@@ -384,19 +384,38 @@ def _accepts(state, data: bytes) -> bool:
         return False
 
 
-@pytest.mark.parametrize("mode, docs", [
+# An escape ``\\{e}`` in a key and in a value, of each kind of quoted string.
+ESCAPE_DOCS = [
     ("toon", [b'"\\{e}": 1\n', b'k: "\\{e}"\n', b'a[1]{{"\\{e}"}}:\n  1\n',
               b'a[1]:\n  - "\\{e}": 1\n', b'a[1]:\n  - "\\{e}"\n']),
     ("json", [b'{{"\\{e}": 1}}', b'{{"k": "\\{e}"}}']),
-])
+]
+
+
+@pytest.mark.parametrize("mode, docs", ESCAPE_DOCS)
 def test_escapes_are_read_as_the_parser_reads_them(mode, docs):
     """Every escape, in keys and in values: the automaton accepts the
-    document exactly when the parser does, ``\\u`` only with 4 hex digits."""
-    escapes = [chr(b) for b in range(0x20, 0x7F)] + ["u004", "u0041", "u00e9", "uD83D"]
+    document exactly when the parser does, ``\\u`` only with 4 hex digits
+    and no lone surrogate."""
+    escapes = [chr(b) for b in range(0x20, 0x7F)] + ["u004", "u0041", "u00e9", "uD83D",
+                                                     "udc00", "uD7FF", "ue000"]
     for doc in docs:
         for e in escapes:
             data = doc.decode().format(e=e).encode()
             assert _accepts(init_state(mode), data) == (_parse(mode, data) is not None), data
+
+
+@pytest.mark.parametrize("mode, docs", ESCAPE_DOCS)
+def test_surrogate_escapes_are_refused_at_their_second_hex_digit(mode, docs):
+    """A surrogate escape, lone or in a pair that the parsers join, is
+    refused at its second hex digit, where the escape is first known to be
+    one; the digits before it, as in ``\\ud7ff``, leave a way on."""
+    for doc in docs:
+        for e in ("ud83d", "uD800", "udbff\\udc00", "uDC00", "udfff", "ud83d\\ude00"):
+            data = doc.decode().format(e=e).encode()
+            with pytest.raises(RejectError) as ei:
+                advance_bytes(init_state(mode), data)
+            assert ei.value.byte_offset == data.index(b"\\u") + 3, data
 
 
 @pytest.mark.parametrize("mode, prefix", [
@@ -532,11 +551,12 @@ def test_tokenization_independence(cases, vocab):
             assert tok_state == states[pos]
 
 
-def _reached_states(cases, docs):
+def _reached_states(cases, docs, texts=()):
     """Every state reached along the gold documents and ``docs``, byte by
-    byte, in toon, toon+schema and json mode; a document is followed up to
-    its first refused byte (non-ASCII text)."""
-    runs = []
+    byte, in toon, toon+schema and json mode, and along each ``(mode,
+    text)`` of ``texts``; a document is followed up to its first refused
+    byte (non-ASCII text)."""
+    runs = [(mode, None, text) for mode, text in texts]
     for c, toon_text, json_text in gold_texts(cases):
         runs += [("toon", None, toon_text), ("toon", c.schema, toon_text),
                  ("json", None, json_text)]
@@ -591,13 +611,26 @@ def test_run_declarations_are_inductive(cases):
         "ks", "s", "num", "k", "k1", "col", "v", "v1", "e", "end"}
 
 
+def _near_surrogate_texts():
+    """``(mode, text)`` of each ESCAPE_DOCS document holding ``\\ud7ff`` or
+    ``\\ue000``, the escapes on either side of the surrogates, and of each of
+    their one-byte mutants that puts another hex digit in their place."""
+    texts = set()
+    for mode, docs in ESCAPE_DOCS:
+        for doc, e in itertools.product(docs, ("ud7ff", "ue000")):
+            for i, digit in itertools.product(range(1, 5), "0123456789abcdefABCDEF"):
+                texts.add((mode, doc.decode().format(e=e[:i] + digit + e[i + 1:])))
+    return sorted(texts)
+
+
 def test_no_reached_state_is_a_dead_end(cases):
     """Every state reached along the gold, seeded random and long-key
-    documents, and every one-byte successor of one, accepts or takes some
-    byte: a mask is never empty where the document may not end."""
+    documents and the escapes next to the surrogates, and every one-byte
+    successor of one, accepts or takes some byte: a mask is never empty
+    where the document may not end."""
     rng = random.Random(29)
     docs = [random_document(rng, 3) for _ in range(15)] + long_key_documents()
-    states = _reached_states(cases, docs)
+    states = _reached_states(cases, docs, _near_surrogate_texts())
     states |= {nxt for st in states for b in range(256)
                if (nxt := step_byte(st, b)) is not None}
     # NL and printable bytes first: nearly every state takes one of them

@@ -1,6 +1,7 @@
 """Schemas, lenient validation, the built-in cases, and gold file output."""
 
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,19 @@ def test_error_paths_are_nested():
 def test_all_errors_reported_not_just_first():
     errs = validate({"id": None, "name": None}, USER)
     assert len(errs) == 2
+
+
+@pytest.mark.parametrize("value, schema", [
+    (math.nan, FloatType()),
+    (math.inf, IntType()),
+    ((1, 2), ArrayType(IntType())),
+    ({"id": 1, "name": ("a",)}, USER),
+    ([{"id": -math.inf, "name": "a"}], ArrayType(USER)),
+])
+def test_validate_raises_on_what_is_not_a_value(value, schema):
+    """As deep_equal does, where it used to report a type error or none."""
+    with pytest.raises(ValueError):
+        validate(value, schema)
 
 
 # -- built-in cases ----------------------------------------------------------

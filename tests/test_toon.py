@@ -11,7 +11,7 @@ from toonbench.mask import init_state, is_accepting
 from toonbench.mask.engine import advance_bytes
 from toonbench.toon import (ToonError, encode_toon, extract_toon_block,
                             parse_toon, toon_to_json, NonObjectRoot)
-from toonbench.values import deep_equal, emit_canonical_json
+from toonbench.values import deep_equal, emit_canonical_json, parse_json
 
 
 def reference_example() -> str:
@@ -253,6 +253,13 @@ POSITIONED = [
     ('a[1]{"x\\q"}:\n', 1, 8, "bad-escape"),
     ('b:\n  a[1]{"x\\q"}:\n', 2, 10, "bad-escape"),  # was 12
     ('a[1]{x}:\n  "\\q"\n', 2, 4, "bad-escape"),
+    ('k: "\\ud83d"\n', 1, 5, "bad-escape"),  # a lone surrogate, high
+    ('k: "x\\uDE00"\n', 1, 6, "bad-escape"),  # and low
+    ('"\\uD83D": 1\n', 1, 2, "bad-escape"),
+    ('"a\\udc00": 1\n', 1, 3, "bad-escape"),
+    ('k: "\\ud83d\\ud83d"\n', 1, 5, "bad-escape"),  # high, then not a low
+    ('k: "\\ude00\\ud83d"\n', 1, 5, "bad-escape"),  # low before high
+    ('a[1]{"x\\ud83d"}:\n', 1, 8, "bad-escape"),
     ('b: "x\n', 1, 5, "unexpected-token"),
     ('a:\n  b: "x\n', 2, 7, "unexpected-token"),  # was 9
     ('a[1]:\n  - "x\n', 2, 6, "unexpected-token"),  # was 8
@@ -311,6 +318,17 @@ def test_extract_missing_fence():
 
 def test_toon_to_json_is_canonical():
     assert toon_to_json("b: 1\na: 2\n") == '{"a":2,"b":1}'
+
+
+@pytest.mark.parametrize("toon, json_text", [
+    ('k: "\\ud83d\\ude00"\n', '{"k": "\\ud83d\\ude00"}'),
+    ('"\\uD83D\\uDE00": 1\n', '{"\\uD83D\\uDE00": 1}'),
+    ('k: "a\\udbff\\udfffb\\ud7ff\\ue000"\n', '{"k": "a\\udbff\\udfffb\\ud7ff\\ue000"}'),
+])
+def test_a_surrogate_pair_escape_is_one_character_as_in_json(toon, json_text):
+    root = parse_toon(toon).root
+    assert root == parse_json(json_text)
+    assert toon_to_json(toon).encode("utf-8")  # a sound value: it encodes
 
 
 # -- round trips -------------------------------------------------------------

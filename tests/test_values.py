@@ -2,11 +2,15 @@
 
 import math
 import random
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_document
+from toonbench.schemas import ArrayType, FloatType, IntType, ObjectType, StrType, validate
+from toonbench.toon import encode_toon
 from toonbench.values import (DiffPath, DuplicateKeyError, JsonParseError,
                               check_value, deep_equal, emit_canonical_json,
                               format_path, parse_json)
@@ -82,7 +86,8 @@ def test_parse_numbers_take_ascii_digits_only():
 # parser's, which pointed past the offending character (old column in the
 # comment), and the 5000-digit and 3000-deep rows used to escape as a bare
 # ValueError and a RecursionError.  Duplicate keys, non-finite constants and
-# overflowing numbers keep their positions, and the first problem in
+# overflowing numbers keep their positions, a string holding a lone
+# surrogate escape is refused at its opening quote, and the first problem in
 # document order wins.
 MALFORMED = [
     ("", JsonParseError, 1, 1),
@@ -109,6 +114,13 @@ MALFORMED = [
     ('{"a": 1, "a": 2, }', DuplicateKeyError, 1, 10),
     ('{"d": 1, "d": [NaN]}', DuplicateKeyError, 1, 10),
     ('[{"k": 1}, {"k": 1,\n "k": 2}]', DuplicateKeyError, 2, 2),
+    ('{"k": "\\ud83d"}', JsonParseError, 1, 7),  # a lone surrogate, high
+    ('{"k": "x\\uDE00"}', JsonParseError, 1, 7),  # and low
+    ('{"\\uD83D": 1}', JsonParseError, 1, 2),
+    ('{\n "a\\udc00": 1}', JsonParseError, 2, 2),
+    ('["\\ude00\\ud83d"]', JsonParseError, 1, 2),  # low before high
+    ('[1, "\\ud83d", }', JsonParseError, 1, 5),  # before a syntax error
+    ('{"a": "\\ud83d", "a": 1}', JsonParseError, 1, 7),  # before a duplicate
 ]
 
 
@@ -210,6 +222,30 @@ def test_deep_equal_rejects_unsupported_values(bad):
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError):
                 deep_equal(x, y)
+
+
+class Role(IntEnum):
+    ADMIN = 1
+
+
+class Name(str):
+    pass
+
+
+def test_subclasses_of_the_value_types_are_values():
+    """An OrderedDict, an IntEnum member and a str subclass are what their
+    base types are to every walk over a Value."""
+    v = OrderedDict([("id", Role.ADMIN), ("name", Name("Ada")), ("tags", [Name("x"), 2.5])])
+    plain = {"id": 1, "name": "Ada", "tags": ["x", 2.5]}
+    schema = ObjectType((("id", IntType()), ("name", StrType()),
+                         ("tags", ArrayType(StrType()))))
+    check_value(v)
+    assert emit_canonical_json(v) == emit_canonical_json(plain)
+    assert encode_toon(v) == encode_toon(plain)
+    assert deep_equal(v, plain) == (True, None)
+    assert deep_equal(plain, OrderedDict(v, id=Role.ADMIN + 1))[1].segments == ("id",)
+    assert [str(e) for e in validate(v, schema)] == ["$.tags[1]: expected str, found float"]
+    assert validate(Role.ADMIN, FloatType()) == validate(Name("7"), IntType()) == []
 
 
 def test_format_path_root():
