@@ -152,6 +152,10 @@ def _parse_response(payload: dict) -> ChatResponse:
     if not isinstance(content, str):
         # refusals, tool calls and truncations can carry no text at all
         raise ApiError(200, f"completion has no text content (finish_reason={finish!r})")
+    try:  # a lone surrogate escape in the body decodes to text no file can hold
+        content.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ApiError(200, f"completion text is not valid Unicode: {e}")
     usage = payload.get("usage")
     if isinstance(usage, dict) and "prompt_tokens" in usage and "completion_tokens" in usage:
         tokens = usage["prompt_tokens"], usage["completion_tokens"]

@@ -3,7 +3,8 @@
 Per attempt the pipeline is: render the prompt (or the repair prompt built
 from the latest failed output), call the model, decode (TOON tracks go
 through fence extraction and TOON parsing), validate against the case
-schema, and compare deep-structurally with the gold payload.
+schema, and compare with the gold payload (``==``; ``deep_equal`` locates
+a mismatch).
 Any failure produces error text that feeds the next repair prompt; a case
 stops at the first success or after 1 + max_repairs attempts.
 
@@ -112,7 +113,10 @@ def _attempt_outcome(content: str, case: CaseSpec, track: str):
     errors = validate(value, case.schema)
     if errors:
         return "validation_error", "\n".join(str(e) for e in errors)
-    ok, diff = deep_equal(case.gold, value)
+    # Exact: validation pinned every node's kind to the schema, as the gold
+    # conforms too, so ``==`` cannot take True for 1 where deep_equal would
+    # not; deep_equal only locates a mismatch.
+    ok, diff = (True, None) if value == case.gold else deep_equal(case.gold, value)
     if ok:
         return "success", ""
     kind = diff.kind.replace("-", " ")

@@ -2,42 +2,118 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 from .toon import _INT_RE, _NUM_RE, encode_toon
-from .values import Value, emit_canonical_json, format_path, kind
+from .values import _KINDS, Value, emit_canonical_json, format_path, kind
+
+
+# The validation rules: where a schema kind is expected, the value kinds
+# admitted, each with the test a value of that kind must also pass (None:
+# every such value).  Numeric strings satisfy Int/FloatType, ints satisfy
+# FloatType, and zero-fraction floats satisfy IntType.
+_RULES = {
+    "int": {"int": None, "float": float.is_integer, "str": _INT_RE.match},
+    "float": {"int": None, "float": math.isfinite, "str": _NUM_RE.match},
+    "str": {"str": None},
+    "bool": {"bool": None},
+    "object": {"object": None},
+    "array": {"array": None},
+}
+
+
+def _refuse(v) -> bool:
+    return False
+
+
+class _Node:
+    """A schema node's checker, built once from ``_RULES`` and kept on it.
+
+    ``_check(v, path, errors)`` appends to ``errors`` what ``validate``
+    reports for ``v`` at ``path``.  The rule for ``v`` is first looked up by
+    its exact type.  Only a value that fails it is named by ``kind``, which
+    names a subclass's kind and raises on a non-Value or a non-finite float
+    (which fails both ``math.isfinite`` and ``float.is_integer``)."""
+
+    @cached_property
+    def _check(self):
+        expected = self.kind
+        rules = _RULES[expected]
+        by_type = {t: rules[k] for t, k in _KINDS.items() if k in rules}
+        walk = (_object_walk(self.fields) if expected == "object"
+                else _array_walk(self.element) if expected == "array" else None)
+
+        def check(v, path, errors):
+            rule = by_type.get(type(v), _refuse)
+            if not (rule is None or rule(v)):
+                found = kind(v)
+                rule = rules.get(found, _refuse)
+                if not (rule is None or rule(v)):
+                    errors.append(ValidationError(path, expected, found))
+                    return
+            if walk is not None:
+                walk(v, path, errors)
+        return check
+
+
+def _object_walk(fields):
+    known = frozenset(name for name, _ in fields)
+    fields = tuple((name, fs.kind, fs._check) for name, fs in fields)
+
+    def walk(v, path, errors):
+        for name, expected, check in fields:
+            if name in v:
+                check(v[name], path + (name,), errors)
+            else:
+                errors.append(ValidationError(path + (name,), expected, "missing"))
+        if not known.issuperset(v):
+            for name in v:
+                if name not in known:
+                    errors.append(ValidationError(path + (name,), "absent", "extra field"))
+    return walk
+
+
+def _array_walk(element):
+    check = element._check
+
+    def walk(v, path, errors):
+        for i, item in enumerate(v):
+            check(item, path + (i,), errors)
+    return walk
 
 
 @dataclass(frozen=True)
-class IntType:
+class IntType(_Node):
     kind: str = "int"
 
 
 @dataclass(frozen=True)
-class FloatType:
+class FloatType(_Node):
     kind: str = "float"
 
 
 @dataclass(frozen=True)
-class StrType:
+class StrType(_Node):
     kind: str = "str"
 
 
 @dataclass(frozen=True)
-class BoolType:
+class BoolType(_Node):
     kind: str = "bool"
 
 
 @dataclass(frozen=True)
-class ObjectType:
+class ObjectType(_Node):
     fields: tuple = ()  # tuple of (name, Schema); all required
     kind: str = "object"
 
 
 @dataclass(frozen=True)
-class ArrayType:
+class ArrayType(_Node):
     element: "Schema" = None
     kind: str = "array"
 
@@ -56,40 +132,15 @@ class ValidationError:
 
 
 def validate(v: Value, s: Schema, _path=()) -> list:
-    """Structural validation with lenient numeric coercion.
+    """Structural validation with lenient numeric coercion (``_RULES``).
 
-    Numeric strings satisfy Int/FloatType, ints satisfy FloatType, and
-    zero-fraction floats satisfy IntType.  All object fields are required
-    and unknown extras are errors.  Returns a list of ValidationError
-    (empty means valid).  Raises ValueError where ``values.kind`` does, on
-    a part of ``v`` that is not a Value.
+    All object fields are required and unknown extras are errors.  Returns
+    a list of ValidationError (empty means valid), in depth-first schema
+    order with each object's extras after its fields.  Raises ValueError
+    where ``values.kind`` does, on a part of ``v`` that is not a Value.
     """
-    expected, found = s.kind, kind(v)
-    if expected == "int":
-        ok = (found == "int" or (found == "float" and v.is_integer())
-              or (found == "str" and _INT_RE.match(v)))
-    elif expected == "float":
-        ok = found in ("int", "float") or (found == "str" and _NUM_RE.match(v))
-    elif expected in ("str", "bool", "object", "array"):
-        ok = found == expected
-    else:  # pragma: no cover
-        raise ValueError(f"unknown schema kind {expected!r}")
     errors: list = []
-    if not ok:
-        errors.append(ValidationError(_path, expected, found))
-    elif found == "object":
-        for name, fs in s.fields:
-            if name not in v:
-                errors.append(ValidationError(_path + (name,), fs.kind, "missing"))
-            else:
-                errors.extend(validate(v[name], fs, _path + (name,)))
-        known = dict(s.fields)
-        for name in v:
-            if name not in known:
-                errors.append(ValidationError(_path + (name,), "absent", "extra field"))
-    elif found == "array":
-        for i, item in enumerate(v):
-            errors.extend(validate(item, s.element, _path + (i,)))
+    s._check(v, _path, errors)
     return errors
 
 
@@ -100,6 +151,14 @@ class CaseSpec:
     toon_task_body: str  # task section of the T prompt
     schema: Schema
     gold: Value = field(hash=False)
+
+    def __post_init__(self):
+        # the harness judges a valid answer equal to the gold by ``==``, which
+        # is exact only when the gold's kinds are the schema's too
+        errors = validate(self.gold, self.schema)
+        if errors:
+            raise ValueError(f"case {self.name!r}: gold does not conform to its schema: "
+                             + "; ".join(map(str, errors)))
 
 
 def _obj(*fields) -> ObjectType:

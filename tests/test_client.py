@@ -1,5 +1,6 @@
 """Chat clients: request construction, retries, usage accounting, mocks."""
 
+import csv
 import json
 import threading
 import time
@@ -11,6 +12,7 @@ import requests
 from toonbench.client import (MAX_RETRY_AFTER, ApiError, ChatRequest, HttpClient,
                               ScriptExhausted, ScriptedClient, ScriptedTurn,
                               TransportError, estimate_tokens)
+from toonbench.harness import run_benchmark
 
 
 # -- request construction ----------------------------------------------------
@@ -148,6 +150,41 @@ def test_http_null_content_is_api_error(server):
         with pytest.raises(ApiError) as ei:
             client.complete(REQ)
         assert ei.value.status == 200
+
+
+def test_http_malformed_payload_is_api_error(server):
+    _Handler.script = [(200, {"choices": []})]
+    with pytest.raises(ApiError) as ei:
+        HttpClient(server).complete(REQ)
+    assert ei.value.status == 200
+    assert "malformed completion payload" in str(ei.value)
+
+
+def test_http_lone_surrogate_content_is_api_error(server):
+    """A ``\\ud83d`` escape decodes to text that cannot be encoded as UTF-8;
+    it is refused before the token estimate that used to raise
+    UnicodeEncodeError, with usage or without."""
+    client = HttpClient(server)
+    for usage in (False, True):
+        _Handler.script = [(200, _ok_payload("k: \ud83d", usage=usage))]
+        with pytest.raises(ApiError) as ei:
+            client.complete(REQ)
+        assert ei.value.status == 200
+        str(ei.value).encode("utf-8")  # the message itself is writable
+
+
+def test_a_sweep_records_a_lone_surrogate_completion_and_goes_on(server, tmp_path):
+    _Handler.script = [(200, _ok_payload("\ud83d", usage=False))]
+    config = {"provider": "http", "endpoint": server, "models": ["m"], "runs": 1,
+              "cases": ["order"], "tracks": ["J"], "max_repairs": 0, "retries": 0}
+    out, log = tmp_path / "r.csv", tmp_path / "attempts.jsonl"
+    run_benchmark(config, out, log)
+    with open(out, newline="", encoding="utf-8") as f:
+        (row,) = csv.DictReader(f)
+    assert (row["attempts"], row["final_success"], row["flags"]) == ("1", "0", "all_transport")
+    (record,) = map(json.loads, log.read_text(encoding="utf-8").splitlines())
+    assert record["outcome"] == "transport_error"
+    assert "not valid Unicode" in record["error_text"]
 
 
 def test_http_non_json_body_is_api_error(server):

@@ -98,6 +98,33 @@ def test_mismatch_reports_diff_path(case_by_name):
     assert "$.id" in r.attempts[0].error_text
 
 
+def _order_with(case, index, field, value):
+    gold = json.loads(json.dumps(case.gold))
+    gold["items"][index][field] = value
+    return gold
+
+
+def _answer(value, track):
+    return ("```toon\n" + encode_toon(value) + "```" if track == "T"
+            else emit_canonical_json(value))
+
+
+@pytest.mark.parametrize("track", ["J", "T"])
+@pytest.mark.parametrize("index, field, value, outcome, error_text", [
+    # the gold's qty is 1, and True == 1; validation refuses it first
+    (1, "qty", True, "validation_error", "$.items[1].qty: expected int, found bool"),
+    (0, "qty", 2.0, "success", ""),
+    (0, "price", 9.98, "mismatch", "value at $.items[0].price is wrong (value mismatch)"),
+], ids=["bool-qty", "float-qty", "changed-price"])
+def test_an_answer_is_judged_by_validation_then_equality(case_by_name, track, index, field,
+                                                         value, outcome, error_text):
+    order = case_by_name["order"]
+    answer = _answer(_order_with(order, index, field, value), track)
+    r = run_case(ScriptedClient([ScriptedTurn(answer, 1, 1)]), "m", order, track,
+                 max_repairs=0)
+    assert [(a.outcome, a.error_text) for a in r.attempts] == [(outcome, error_text)]
+
+
 def test_fenced_json_answers_are_tolerated(case_by_name):
     order = case_by_name["order"]
     fenced = "```json\n" + gold_json(order) + "\n```"

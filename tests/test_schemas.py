@@ -1,15 +1,21 @@
 """Schemas, lenient validation, the built-in cases, and gold file output."""
 
+import copy
+import dataclasses
+import enum
 import json
 import math
+import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toonbench.schemas import (ArrayType, BoolType, CASE_NAMES, FloatType,
-                               IntType, ObjectType, StrType, builtin_cases,
-                               get_case, validate, write_gold)
-from toonbench.toon import encode_toon, parse_toon
-from toonbench.values import deep_equal, parse_json
+                               IntType, ObjectType, StrType, ValidationError,
+                               builtin_cases, get_case, validate, write_gold)
+from toonbench.toon import _INT_RE, _NUM_RE, encode_toon, parse_toon
+from toonbench.values import deep_equal, kind, parse_json
 
 
 USER = ObjectType(fields=(("id", IntType()), ("name", StrType())))
@@ -73,6 +79,140 @@ def test_validate_raises_on_what_is_not_a_value(value, schema):
         validate(value, schema)
 
 
+def oracle_validate(v, s, _path=()) -> list:
+    """``validate`` as it was before each schema node built its own checker,
+    verbatim but for this name in the recursive call."""
+    expected, found = s.kind, kind(v)
+    if expected == "int":
+        ok = (found == "int" or (found == "float" and v.is_integer())
+              or (found == "str" and _INT_RE.match(v)))
+    elif expected == "float":
+        ok = found in ("int", "float") or (found == "str" and _NUM_RE.match(v))
+    elif expected in ("str", "bool", "object", "array"):
+        ok = found == expected
+    else:  # pragma: no cover
+        raise ValueError(f"unknown schema kind {expected!r}")
+    errors: list = []
+    if not ok:
+        errors.append(ValidationError(_path, expected, found))
+    elif found == "object":
+        for name, fs in s.fields:
+            if name not in v:
+                errors.append(ValidationError(_path + (name,), fs.kind, "missing"))
+            else:
+                errors.extend(oracle_validate(v[name], fs, _path + (name,)))
+        known = dict(s.fields)
+        for name in v:
+            if name not in known:
+                errors.append(ValidationError(_path + (name,), "absent", "extra field"))
+    elif found == "array":
+        for i, item in enumerate(v):
+            errors.extend(oracle_validate(item, s.element, _path + (i,)))
+    return errors
+
+
+class Num(enum.IntEnum):
+    TWO = 2
+
+
+class Text(str):
+    pass
+
+
+# What a node may be replaced by: every kind, the numbers each numeric rule
+# admits or refuses, numeric strings, subclasses and what is not a Value.
+SUBSTITUTES = (True, False, 0, 1, 2, 2.0, 2.5, -0.0, 10**30, "2", "-2.5e3",
+               "2.", "x", "", "\u0662", None, math.nan, math.inf, -math.inf,
+               (1, 2), Num.TWO, Text("7"), Text("Ada"), [], {}, [1], {"id": 1})
+
+
+def _nodes(v, path=()):
+    yield path, v
+    if type(v) in (dict, OrderedDict):
+        for k, child in v.items():
+            yield from _nodes(child, path + (k,))
+    elif type(v) is list:
+        for i, child in enumerate(v):
+            yield from _nodes(child, path + (i,))
+
+
+def _mutated(node, rng: random.Random):
+    """``node`` with one change: a substitute, a flip between True and 1 or
+    2 and 2.0, a numeric string, an equal subclass, a tuple, or a missing,
+    extra or renamed key or an array one longer or shorter."""
+    pick = rng.randrange(4)
+    if isinstance(node, dict) and pick < 3:
+        out = OrderedDict(node) if pick == 0 else dict(node)
+        keys = list(out)
+        if pick == 1 and keys:
+            del out[rng.choice(keys)]
+        elif pick == 2:
+            name = rng.choice(keys + ["extra"]) + "_"
+            if keys and rng.random() < 0.5:  # renamed, in its place
+                old = rng.choice(keys)
+                out = dict((name if k == old else k, c) for k, c in out.items())
+            else:
+                out[name] = rng.choice(SUBSTITUTES)
+        return out
+    if isinstance(node, list) and pick < 3:
+        if pick == 0:
+            return tuple(node)
+        return node[:-1] if pick == 1 else node + node[-1:] * rng.randrange(1, 3)
+    if type(node) in (int, float, bool) and pick < 3:
+        number = int(node) if type(node) is bool else node
+        if pick == 0:
+            return str(number)
+        if pick == 1:
+            return (bool(number) if type(node) is not bool
+                    else float(number) if rng.random() < 0.5 else int(number))
+        return float(number) if type(node) is int else Num.TWO
+    if type(node) is str and pick < 2:
+        return Text(node) if pick == 0 else node + "x"
+    return rng.choice(SUBSTITUTES)
+
+
+def _with(v, path, new):
+    if not path:
+        return new
+    head, *rest = path
+    v = copy.copy(v)
+    v[head] = _with(v[head], tuple(rest), new)
+    return v
+
+
+def _outcome(check, v, schema):
+    try:
+        return check(v, schema)
+    except Exception as e:  # the type is compared, as check's result is
+        return type(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_validate_agrees_with_the_walk_it_replaced(seed):
+    """Differential: the same errors, in the same order, or the same
+    exception type, on mutations of the four golds (and now and then a gold
+    against another case's schema)."""
+    rng = random.Random(seed)
+    cases = builtin_cases()
+    case = rng.choice(cases)
+    schema = case.schema if rng.random() < 0.9 else rng.choice(cases).schema
+    v = case.gold
+    for _ in range(rng.randrange(1, 4)):
+        path, node = rng.choice(list(_nodes(v)))
+        v = _with(v, path, _mutated(node, rng))
+    assert _outcome(validate, v, schema) == _outcome(oracle_validate, v, schema)
+
+
+def test_validate_agrees_with_the_walk_it_replaced_on_each_substitute():
+    for schema in (IntType(), FloatType(), StrType(), BoolType(), USER,
+                   ArrayType(IntType())):
+        for value in SUBSTITUTES:
+            for v, s in ((value, schema), ({"id": value, "name": value}, USER),
+                         ([1, value], schema)):
+                assert _outcome(validate, v, s) == _outcome(oracle_validate, v, s), (v, s)
+
+
 # -- built-in cases ----------------------------------------------------------
 
 
@@ -86,6 +226,17 @@ def test_case_registry():
 def test_gold_payloads_validate(cases):
     for c in cases:
         assert validate(c.gold, c.schema) == [], c.name
+
+
+def test_a_gold_that_does_not_conform_is_refused(case_by_name):
+    """The harness takes a valid answer ``==`` the gold as a success, which
+    would let True pass for 1 if a gold held True where the schema asks for
+    an int."""
+    order = case_by_name["order"]
+    gold = json.loads(json.dumps(order.gold))
+    gold["items"][0]["qty"] = True
+    with pytest.raises(ValueError, match=r"\$\.items\[0\]\.qty: expected int, found bool"):
+        dataclasses.replace(order, gold=gold)
 
 
 def test_gold_payloads_round_trip(cases):
