@@ -3,7 +3,8 @@
 A fixed, seeded set of documents is stepped byte by byte: the gold documents
 in toon, toon+schema and json mode; seeded random documents and the long-key
 documents in toon and json mode; seeded payloads of each case's schema in
-toon+schema mode; and a few one-byte mutants of each.  Every state reached,
+toon+schema mode; documents nested to the automata's depth bound in toon and
+json mode; and a few one-byte mutants of each.  Every state reached,
 up to a mutant's first refused byte, is recorded as its verdicts on all 256
 bytes, ``accepting`` and ``run()``.  One digest per (mode, document) sums up
 the records along the document and its mutants, so a change of language
@@ -55,6 +56,32 @@ def random_payload(rng: random.Random, schema):
     return [random_payload(rng, schema.element) for _ in range(rng.randrange(1, 4))]
 
 
+def _nest(value, wrap, times: int):
+    for _ in range(times):
+        value = wrap(value)
+    return value
+
+
+def depth_documents() -> list:
+    """``(key, value)`` of documents whose deepest container is the
+    MAX_DEPTH-th frame (the root object counted), so that their walks meet
+    each automaton's depth checks.  TOON reaches the bound through nested
+    objects, a list item's first key, a ``key[n]:`` header and an item's
+    ``- [n]:``; JSON through nested objects and nested arrays."""
+    d = toon_machine.MAX_DEPTH
+    # the first key of each item opens one frame and its header another
+    items = {"b": {"c": _nest([{"k": 1}, 1], lambda v: [{"a": v}], (d - 4) // 2)}}
+    in_toon = [("objects", _nest({"k": 1}, lambda v: {"a": v}, d - 1)),
+               ("item-key", items),
+               ("header", _nest({"k": [1, "x"]}, lambda v: {"a": v}, d - 2)),
+               ("item-array", {"a": _nest([1, "x"], lambda v: [v], d - 2)})]
+    d = json_machine.MAX_DEPTH
+    in_json = [("objects", _nest({"k": 1}, lambda v: {"a": v}, d - 1)),
+               ("arrays", {"a": _nest([1], lambda v: [v], d - 2)})]
+    return ([(f"toon/depth-{name}", v) for name, v in in_toon]
+            + [(f"json/depth-{name}", v) for name, v in in_json])
+
+
 def documents() -> list:
     """``(key, schema, data)`` per document; ``key`` is ``mode/name``, the
     mode one of toon, toon_schema and json."""
@@ -75,6 +102,9 @@ def documents() -> list:
         for i in range(PAYLOADS_PER_CASE):
             value = random_payload(rng, c.schema)
             docs.append((f"toon_schema/{c.name}-{i}", c.schema, encode_toon(value).encode()))
+    for key, value in depth_documents():
+        text = encode_toon(value) if key.startswith("toon/") else emit_canonical_json(value)
+        docs.append((key, None, text.encode()))
     return docs
 
 
