@@ -80,20 +80,17 @@ def _taken(stack, cont):
     return stack[-1][1]
 
 
+# '{' and '[' push a frame and expect its first key or value; '}' and ']'
+# close the top frame when it is of their kind; 't', 'f' and 'n' begin a word.
+_OPEN = {0x7B: (("o", _EMPTY), ("k1",)), 0x5B: (("a",), ("v1",))}
+_CLOSE = {0x7D: "o", 0x5D: "a"}
+_WORDS = {0x74: "true", 0x66: "false", 0x6E: "null"}
+
+_CLOSERS = frozenset(("k1", "v1", "e"))
+
+
 def _after_value(stack):
-    if not stack:
-        return stack, ("end",)
-    return stack, ("e",)
-
-
-def _close(stack, b):
-    """Handle '}' or ']' closing the top frame; returns state or None."""
-    top = stack[-1]
-    if b == 0x7D and top[0] == "o":
-        return _after_value(stack[:-1])
-    if b == 0x5D and top[0] == "a":
-        return _after_value(stack[:-1])
-    return None
+    return (stack, ("e",) if stack else ("end",))
 
 
 def step(state, b: int):
@@ -111,44 +108,31 @@ def step(state, b: int):
         return (stack[:-1] + (("o", stack[-1][1] | {lex[0]}),), ("col",))
 
     if b in _WS and tag in _WS_STATES:
-        return (stack, micro)
+        return state
+
+    if b in _CLOSE and tag in _CLOSERS:
+        return _after_value(stack[:-1]) if stack[-1][0] == _CLOSE[b] else None
 
     if tag == "start":
-        if b == 0x7B:  # '{'
-            return ((("o", _EMPTY),), ("k1",))
-        return None
+        frame, nxt = _OPEN[0x7B]
+        return ((frame,), nxt) if b == 0x7B else None
 
     if tag in ("k", "k1"):
-        if b == 0x22:
-            return (stack, ("ks", keys.KEY))
-        if tag == "k1" and b == 0x7D:
-            return _close(stack, b)
-        return None
+        return (stack, ("ks", keys.KEY)) if b == 0x22 else None
 
     if tag == "col":
-        if b == 0x3A:  # ':'
-            return (stack, ("v",))
-        return None
+        return (stack, ("v",)) if b == 0x3A else None  # ':'
 
     if tag in ("v", "v1"):
-        if tag == "v1" and b == 0x5D:
-            return _close(stack, b)
-        if b == 0x7B:
+        if b in _OPEN:
             if len(stack) >= MAX_DEPTH:
                 return None
-            return (stack + (("o", _EMPTY),), ("k1",))
-        if b == 0x5B:
-            if len(stack) >= MAX_DEPTH:
-                return None
-            return (stack + (("a",),), ("v1",))
+            frame, nxt = _OPEN[b]
+            return (stack + (frame,), nxt)
         if b == 0x22:
             return (stack, ("s", keys.VALUE))
-        if b == 0x74:  # 't'
-            return (stack, ("lit", "true", 1))
-        if b == 0x66:  # 'f'
-            return (stack, ("lit", "false", 1))
-        if b == 0x6E:  # 'n'
-            return (stack, ("lit", "null", 1))
+        if b in _WORDS:
+            return (stack, ("lit", _WORDS[b], 1))
         st = numerals.JSON[""].get(b)
         return None if st is None else (stack, ("num", st))
 
@@ -170,12 +154,7 @@ def step(state, b: int):
             return step(_after_value(stack), b)
         return None
 
-    if tag == "e":
-        if b == 0x2C:  # ','
-            top = stack[-1]
-            return (stack, ("k",)) if top[0] == "o" else (stack, ("v",))
-        if b in (0x7D, 0x5D):
-            return _close(stack, b)
-        return None
+    if tag == "e" and b == 0x2C:  # ','
+        return (stack, ("k",) if stack[-1][0] == "o" else ("v",))
 
     return None

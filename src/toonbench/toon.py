@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
-from .values import Value, check_value, emit_canonical_json
+from .values import _SURROGATE, Value, check_value, emit_canonical_json
 
 ERROR_KINDS = (
     "bad-indent",
@@ -216,9 +216,11 @@ class _Line:
 
 
 def _split_lines(text: str) -> list:
-    """The content lines of ``text``; a blank line is legal only after the last one."""
+    """The content lines of ``text``; a blank line is legal only after the last one.
+    A tab in the indentation and a lone surrogate character are refused here."""
     lines = []
     blank = 0  # the first blank line, if any
+    all_ascii = text.isascii()  # then no line holds a lone surrogate
     for num, raw in enumerate(text.split("\n"), start=1):
         content = raw.rstrip()
         if content == "":
@@ -227,6 +229,9 @@ def _split_lines(text: str) -> list:
         indent = len(content) - len(content.lstrip(" "))
         if content[indent] == "\t":
             raise ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
+        bad = not all_ascii and _SURROGATE.search(content)
+        if bad:
+            raise ToonError(num, bad.start() + 1, "unexpected-token", "lone surrogate character")
         lines.append(_Line(num, indent, content[indent:]))
     if blank and lines and blank < lines[-1].num:
         raise ToonError(blank, 1, "unexpected-token", "blank line inside document")

@@ -113,7 +113,7 @@ def _line_col(text: str, pos: int):
 def _first_refusal(text: str, end: int):
     """Scan the tokens that end by ``end``, a prefix json has decoded, for
     the first duplicate key, non-finite constant, overflowing number or
-    string holding a lone surrogate escape.
+    string holding a lone surrogate, as an escape or as a raw character.
 
     Returns ``(error or None, start of the first container opened at the
     deepest nesting seen)``.  The scan also stops at text json rejects."""
@@ -139,15 +139,17 @@ def _first_refusal(text: str, end: int):
             if keys[-1] is None:
                 path[-1] += 1
         elif token == "string":
+            raw = m.group(token)
             is_key = prev in ("open", "comma") and keys[-1] is not None
-            if is_key or "\\u" in m.group(token):
+            if is_key or "\\u" in raw or not raw.isascii():
                 try:
-                    string = json.decoder.scanstring(m.group(token), 1)[0]
+                    string = json.decoder.scanstring(raw, 1)[0]
                 except ValueError:
                     return None, deepest_at
                 if _SURROGATE.search(string):
+                    what = "character" if _SURROGATE.search(raw) else "escape"
                     return JsonParseError(*_line_col(text, m.start(token)),
-                                          "lone surrogate escape"), deepest_at
+                                          f"lone surrogate {what}"), deepest_at
                 if is_key:
                     if string in keys[-1]:
                         return DuplicateKeyError(path[:-1], string,
@@ -187,8 +189,9 @@ def parse_json(text: str) -> Value:
         error = _first_refusal(text, len(text))[0]
         if error is None:
             raise
-    else:  # json joins a surrogate pair and keeps a lone surrogate
-        error = "\\u" in text and _first_refusal(text, len(text))[0]
+    else:  # json joins a surrogate pair and keeps a lone surrogate, escaped or raw
+        error = (("\\u" in text or not text.isascii() and _SURROGATE.search(text))
+                 and _first_refusal(text, len(text))[0])
         if not error:
             return value
     raise error from None

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from toonbench.cli import main
+from toonbench.mask import save_vocabulary
 from toonbench.schemas import CASE_NAMES
 from toonbench.toon import encode_toon, parse_toon
 from toonbench.values import emit_canonical_json, parse_json
@@ -218,6 +219,17 @@ def test_mask_sim_deterministic(tmp_path, capsys):
     assert main(["mask-sim", "--case", "users", "--seed", "11",
                  "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_mask_sim_with_a_saved_copy_of_the_toy_vocabulary(tmp_path, capsys, vocab):
+    """``--vocab`` reads a vocabulary file; a copy of the shipped one gives
+    the document of the default run."""
+    path = tmp_path / "toy.vocab"
+    save_vocabulary(vocab, path)
+    a, b = tmp_path / "a.toon", tmp_path / "b.toon"
+    assert main(["mask-sim", "--seed", "3", "-o", str(a)]) == 0
+    assert main(["mask-sim", "--seed", "3", "--vocab", str(path), "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes() and len(a.read_bytes()) >= 12
 
 
 def test_mask_sim_stats(capsys):

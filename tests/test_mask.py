@@ -161,6 +161,12 @@ def test_init_modes(case_by_name):
         init_state("yaml")
 
 
+@pytest.mark.parametrize("schema", [ArrayType(element=IntType()), IntType(), StrType()])
+def test_a_schema_whose_root_is_not_an_object_is_refused(schema):
+    with pytest.raises(UnsupportedSchemaError, match="object-typed schema root"):
+        init_state("toon", schema)
+
+
 def test_gold_documents_accepted(cases):
     for c, toon_text, json_text in gold_texts(cases):
         for schema in (None, c.schema):
@@ -1088,6 +1094,16 @@ def test_mask_accepted_documents_parse_and_validate(cases, vocab, seed,
 def test_generate_policy_arity_checked(vocab):
     with pytest.raises(ValueError):
         constrained_generate(lambda i, s: [0.0] * 3, vocab, init_state("toon"))
+
+
+def test_generate_with_no_legal_token_at_a_non_accepting_state_is_a_dead_end():
+    """A JSON document must open with '{', which this vocabulary lacks, so
+    the first mask is empty and the start state does not accept."""
+    vocab = Vocabulary([b"}", b"[", b'"', b" ", b"1"])
+    with pytest.raises(DeadEndError, match="no legal continuation at byte offset 0 "
+                                           r"\(non-accepting state\)"):
+        constrained_generate(lambda i, s: [0.0] * (len(vocab) + 1), vocab,
+                             init_state("json"))
 
 
 def test_deep_schema_rejected_at_init():

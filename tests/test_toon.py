@@ -1,6 +1,7 @@
 """TOON codec: encoding shapes, parsing, error kinds, and round trips."""
 
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -260,6 +261,11 @@ POSITIONED = [
     ('k: "\\ud83d\\ud83d"\n', 1, 5, "bad-escape"),  # high, then not a low
     ('k: "\\ude00\\ud83d"\n', 1, 5, "bad-escape"),  # low before high
     ('a[1]{"x\\ud83d"}:\n', 1, 8, "bad-escape"),
+    ("k: \ud83d\n", 1, 4, "unexpected-token"),  # a raw lone surrogate, high
+    ("a:\n  b: x\udc00y\n", 2, 7, "unexpected-token"),  # and low
+    ('"\ud83d": 1\n', 1, 2, "unexpected-token"),  # in a key
+    ("a[1]:\n  - \ud83d\ude00\n", 2, 5, "unexpected-token"),  # a pair of raw ones
+    ("a[2]:\n  - 1\nb: \udc00\n", 3, 4, "unexpected-token"),  # up front, as a tab
     ('b: "x\n', 1, 5, "unexpected-token"),
     ('a:\n  b: "x\n', 2, 7, "unexpected-token"),  # was 9
     ('a[1]:\n  - "x\n', 2, 6, "unexpected-token"),  # was 8
@@ -271,6 +277,14 @@ POSITIONED = [
 def test_error_positions(text, line, column, kind):
     e = _err(text)
     assert (e.line, e.column, e.kind) == (line, column, kind), e
+
+
+def test_nesting_past_the_recursion_limit_is_an_error_at_the_line_reached():
+    depth = sys.getrecursionlimit()
+    text = "".join(" " * (2 * i) + "a:\n" for i in range(depth)) + " " * (2 * depth) + "k: 1\n"
+    e = _err(text)
+    assert (e.kind, e.message) == ("unexpected-token", "nesting too deep")
+    assert 1 < e.line <= depth and e.column == 2 * (e.line - 1) + 1
 
 
 # -- scalar lexing -----------------------------------------------------------

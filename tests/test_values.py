@@ -87,8 +87,8 @@ def test_parse_numbers_take_ascii_digits_only():
 # comment), and the 5000-digit and 3000-deep rows used to escape as a bare
 # ValueError and a RecursionError.  Duplicate keys, non-finite constants and
 # overflowing numbers keep their positions, a string holding a lone
-# surrogate escape is refused at its opening quote, and the first problem in
-# document order wins.
+# surrogate, escaped or a raw character, is refused at its opening quote, and
+# the first problem in document order wins.
 MALFORMED = [
     ("", JsonParseError, 1, 1),
     ("   ", JsonParseError, 1, 4),
@@ -121,6 +121,14 @@ MALFORMED = [
     ('["\\ude00\\ud83d"]', JsonParseError, 1, 2),  # low before high
     ('[1, "\\ud83d", }', JsonParseError, 1, 5),  # before a syntax error
     ('{"a": "\\ud83d", "a": 1}', JsonParseError, 1, 7),  # before a duplicate
+    ('{"k": "\ud83d"}', JsonParseError, 1, 7),  # a raw lone surrogate character
+    ('{"k": "x\udc00"}', JsonParseError, 1, 7),
+    ('{"\ud83d": 1}', JsonParseError, 1, 2),  # in a key
+    ('["\ud83d\ude00"]', JsonParseError, 1, 2),  # a pair of raw ones
+    ('["\u00e9\ud83d"]', JsonParseError, 1, 2),  # after other non-ASCII text
+    ('[1, "\udc00", }', JsonParseError, 1, 5),  # before a syntax error
+    ('{"a": "\ud83d", "a": 1}', JsonParseError, 1, 7),  # before a duplicate
+    ('{"a": "\\ud83d\ud83d"}', JsonParseError, 1, 7),  # after an escaped one
 ]
 
 
@@ -131,6 +139,15 @@ def test_malformed_positions(text, error, line, column):
         parse_json(text)
     assert type(ei.value) is error
     assert (ei.value.line, ei.value.column) == (line, column)
+
+
+def test_a_lone_surrogate_is_named_an_escape_or_a_raw_character():
+    for text, what in [('{"k": "\\ud83d"}', "escape"), ('{"k": "\ud83d"}', "character"),
+                       ('{"k": "\\u00e9\ud83d"}', "character")]:
+        with pytest.raises(JsonParseError) as ei:
+            parse_json(text)
+        assert ei.value.message == f"lone surrogate {what}"
+    assert parse_json('{"k": "\u00e9\U0001f600"}') == {"k": "\u00e9\U0001f600"}
 
 
 def test_duplicate_key_path_inside_arrays():
