@@ -86,8 +86,6 @@ _OPEN = {0x7B: (("o", _EMPTY), ("k1",)), 0x5B: (("a",), ("v1",))}
 _CLOSE = {0x7D: "o", 0x5D: "a"}
 _WORDS = {0x74: "true", 0x66: "false", 0x6E: "null"}
 
-_CLOSERS = frozenset(("k1", "v1", "e"))
-
 
 def _after_value(stack):
     return (stack, ("e",) if stack else ("end",))
@@ -107,10 +105,29 @@ def step(state, b: int):
             return _after_value(stack)
         return (stack[:-1] + (("o", stack[-1][1] | {lex[0]}),), ("col",))
 
+    # then numbers and words, which take neither whitespace nor a close
+    if tag == "num":
+        st = micro[1]
+        nxt = numerals.JSON[st].get(b)
+        if nxt is not None:
+            return (stack, ("num", nxt))
+        if st in numerals.ACCEPTING:
+            # number ends; re-dispatch the byte in post-value position
+            return step(_after_value(stack), b)
+        return None
+
+    if tag == "lit":
+        word, pos = micro[1], micro[2]
+        if chr(b) != word[pos]:
+            return None
+        if pos + 1 == len(word):
+            return _after_value(stack)
+        return (stack, ("lit", word, pos + 1))
+
     if b in _WS and tag in _WS_STATES:
         return state
 
-    if b in _CLOSE and tag in _CLOSERS:
+    if b in _CLOSE and tag in ("k1", "v1", "e"):  # after '{', '[' or a value
         return _after_value(stack[:-1]) if stack[-1][0] == _CLOSE[b] else None
 
     if tag == "start":
@@ -135,24 +152,6 @@ def step(state, b: int):
             return (stack, ("lit", _WORDS[b], 1))
         st = numerals.JSON[""].get(b)
         return None if st is None else (stack, ("num", st))
-
-    if tag == "lit":
-        word, pos = micro[1], micro[2]
-        if chr(b) != word[pos]:
-            return None
-        if pos + 1 == len(word):
-            return _after_value(stack)
-        return (stack, ("lit", word, pos + 1))
-
-    if tag == "num":
-        st = micro[1]
-        nxt = numerals.JSON[st].get(b)
-        if nxt is not None:
-            return (stack, ("num", nxt))
-        if st in numerals.ACCEPTING:
-            # number ends; re-dispatch the byte in post-value position
-            return step(_after_value(stack), b)
-        return None
 
     if tag == "e" and b == 0x2C:  # ','
         return (stack, ("k",) if stack[-1][0] == "o" else ("v",))
