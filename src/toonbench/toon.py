@@ -55,11 +55,13 @@ class ToonDocument:
 # ASCII digits only: \d would also match other scripts' digits, such as "١٢".
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _NUM_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
+_NUMERAL_START = frozenset("-0123456789")
 # Keys and tabular header names: bare where the automaton's key lexer takes
 # them, one of _KEY_START and then any of _KEY_CHARS, and quoted otherwise.
 _KEY_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 _KEY_CHARS = _KEY_START + ".-"
-_BARE_KEY_RE = re.compile(f"[{re.escape(_KEY_START)}][{re.escape(_KEY_CHARS)}]*\\Z")
+_BARE_KEY = f"[{re.escape(_KEY_START)}][{re.escape(_KEY_CHARS)}]*"
+_BARE_KEY_RE = re.compile(_BARE_KEY + r"\Z")
 
 # The bare words that read as a bool or null rather than as a string.
 LITERALS = {"true": True, "false": False, "null": None}
@@ -68,16 +70,20 @@ _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
 
 def _lex_bare_scalar(text: str) -> Value:
-    if text in LITERALS:
-        return LITERALS[text]
-    if _INT_RE.match(text):
+    """The bool, null, number or string that the non-empty ``text`` spells."""
+    if text[0] not in _NUMERAL_START:
+        return LITERALS.get(text, text)
+    if text.isdigit() and text.isascii():
         return int(text)
-    if _NUM_RE.match(text):
-        f = float(text)
-        if math.isinf(f):
-            raise ValueError("number out of finite float range")
-        return f
-    return text
+    m = _NUM_RE.match(text)
+    if m is None:
+        return text
+    if m.lastindex is None:  # neither a fraction nor an exponent: a negative integer
+        return int(text)
+    f = float(text)
+    if math.isinf(f):
+        raise ValueError("number out of finite float range")
+    return f
 
 
 def _needs_quotes(s: str) -> bool:
@@ -204,40 +210,50 @@ def _encode_array(head: str, items: list, level: int, lines: list):
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Every position is an offset into a line's content, ``_Line.text``;
+# A line is the tuple ``(number, indent, content)``: its 1-based number, the
+# columns of its indentation and the text after them, trailing whitespace
+# stripped.  Every position is an offset into the content;
 # ``_ToonParser.error`` turns it into a column of the raw line.
 
-
-@dataclass
-class _Line:
-    num: int  # 1-based
-    indent: int  # columns
-    text: str  # content after indent, trailing whitespace stripped
+_END = (0, -1, "")  # after the last line: its indentation closes every block
 
 
 def _split_lines(text: str) -> list:
-    """The content lines of ``text``; a blank line is legal only after the last one.
-    A tab in the indentation and a lone surrogate character are refused here."""
+    """The content lines of ``text``, then ``_END``; a blank line is legal only
+    after the last one.  A tab in the indentation and a lone surrogate
+    character are refused here."""
     lines = []
     blank = 0  # the first blank line, if any
-    all_ascii = text.isascii()  # then no line holds a lone surrogate
-    for num, raw in enumerate(text.split("\n"), start=1):
+    for num, raw in enumerate(text.split("\n"), 1):
         content = raw.rstrip()
-        if content == "":
-            blank = blank or num
-            continue
-        indent = len(content) - len(content.lstrip(" "))
-        if content[indent] == "\t":
-            raise ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
-        bad = not all_ascii and _SURROGATE.search(content)
-        if bad:
-            raise ToonError(num, bad.start() + 1, "unexpected-token", "lone surrogate character")
-        lines.append(_Line(num, indent, content[indent:]))
-    if blank and lines and blank < lines[-1].num:
+        if content:
+            body = content.lstrip(" ")
+            lines.append((num, len(content) - len(body), body))
+        elif not blank:
+            blank = num
+    # text.isascii() is O(1): then no line holds a lone surrogate
+    if "\t" in text or not text.isascii() and _SURROGATE.search(text):
+        for num, indent, body in lines:
+            if body[0] == "\t":
+                raise ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
+            bad = _SURROGATE.search(body)
+            if bad:
+                raise ToonError(num, indent + bad.start() + 1, "unexpected-token",
+                                "lone surrogate character")
+    if blank and lines and blank < lines[-1][0]:
         raise ToonError(blank, 1, "unexpected-token", "blank line inside document")
+    lines.append(_END)
     return lines
 
 
+# The common line shapes, read in one match at the start of a field line or
+# after a list item's "- ": a key as the encoder writes it bare, then
+# ": value" (a bare value), ":", "[N]:" or "[N]{names}:" (names written bare).
+# A line it does not take goes to the general methods, which raise every error.
+_SHAPE_RE = re.compile(rf"""({_BARE_KEY})
+    (?: :(?:\ ([^\ "].*))?
+      | \[(0|[1-9][0-9]{{0,17}})\] (?:\{{({_BARE_KEY}(?:,{_BARE_KEY})*)\}})? : )\Z""",
+                       re.VERBOSE)
 _KEY_END_RE = re.compile(r"[:\[]")
 _COUNT_RE = re.compile(r"\[(0|[1-9][0-9]*)\]")
 _NAME_RE = re.compile(r"[^,}]*")  # a bare tabular header name
@@ -247,8 +263,8 @@ _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 _LOW_ESCAPE_RE = re.compile(r"\\u([dD][c-fC-F][0-9a-fA-F]{2})")  # a low surrogate's escape
 
 
-def _is_item(ln: _Line) -> bool:
-    return ln.text == "-" or ln.text.startswith("- ")
+def _is_item(text: str) -> bool:
+    return text == "-" or text.startswith("- ")
 
 
 class _ToonParser:
@@ -256,11 +272,8 @@ class _ToonParser:
         self.lines = _split_lines(text)
         self.idx = 0
 
-    def peek(self) -> Optional[_Line]:
-        return self.lines[self.idx] if self.idx < len(self.lines) else None
-
-    def error(self, ln: _Line, i: int, kind: str, msg: str) -> NoReturn:
-        raise ToonError(ln.num, ln.indent + i + 1, kind, msg)
+    def error(self, ln: tuple, i: int, kind: str, msg: str) -> NoReturn:
+        raise ToonError(ln[0], ln[1] + i + 1, kind, msg)
 
     # -- objects ------------------------------------------------------------
 
@@ -268,29 +281,54 @@ class _ToonParser:
         """The field lines at indentation ``col``, added to ``obj``.  In the
         object of a list item (``item``) a dash line ends them: it is the next
         item of the enclosing array."""
+        lines = self.lines
         while True:
-            ln = self.peek()
-            if ln is None or ln.indent < col:
-                return obj
-            if ln.indent > col:
-                self.error(ln, 0, "bad-indent", f"expected indentation {col}, found {ln.indent}")
-            if _is_item(ln):
+            ln = lines[self.idx]
+            if ln[1] != col:
+                if ln[1] < col:
+                    return obj
+                self.error(ln, 0, "bad-indent", f"expected indentation {col}, found {ln[1]}")
+            m = _SHAPE_RE.match(ln[2])
+            if m is not None:
+                self.idx += 1
+                key = m[1]
+                if key in obj:
+                    self.error(ln, 0, "unexpected-token", f"duplicate key {key!r}")
+                obj[key] = self.shaped(ln, 0, m)
+                continue
+            if _is_item(ln[2]):
                 if item:
                     return obj
                 self.error(ln, 0, "unexpected-token", "list item outside an array")
             self.idx += 1
             found = self.key(ln, 0)
             if found is None:
-                self.error(ln, len(ln.text), "unexpected-token", "expected ':' after key")
+                self.error(ln, len(ln[2]), "unexpected-token", "expected ':' after key")
             key, i = found
             if key in obj:
                 self.error(ln, 0, "unexpected-token", f"duplicate key {key!r}")
             obj[key] = self.value(ln, 0, i)
 
-    def key(self, ln: _Line, i: int):
+    def shaped(self, ln: tuple, start: int, m: re.Match) -> Value:
+        """The value of the key at offset ``start``, whose line ``m`` took."""
+        _, raw, count, names = m.groups()
+        if raw is not None:
+            try:
+                return _lex_bare_scalar(raw)
+            except ValueError:
+                return self.lex(ln, m.start(2), raw)  # which says what is wrong
+        if count is None:
+            return self.nested(ln, start)
+        if names is not None:
+            names = tuple(names.split(","))
+            if len(set(names)) != len(names):
+                return self.array(ln, start, m.end(1))  # which says what is wrong
+        return self.body(ln, start, int(count), names)
+
+    def key(self, ln: tuple, i: int):
         """The key at offset ``i`` and the offset after it, or None when no
         ':' or '[' ends a bare key."""
-        text = ln.text
+        text = ln[2]
         if text.startswith('"', i):
             return self.quoted(ln, i)
         m = _KEY_END_RE.search(text, i)
@@ -301,31 +339,35 @@ class _ToonParser:
             self.error(ln, i, "unexpected-token", "malformed key")
         return key, m.start()
 
-    def value(self, ln: _Line, start: int, i: int) -> Value:
+    def value(self, ln: tuple, start: int, i: int) -> Value:
         """The value of the key from offset ``start`` to ``i``: an array, an
         object on the lines below, or a scalar."""
-        text = ln.text
+        text = ln[2]
         if text.startswith("[", i):
             return self.array(ln, start, i)
         if not text.startswith(":", i):
             self.error(ln, i, "unexpected-token", "expected ':' after key")
         i += 1
         if i == len(text):
-            col = ln.indent + start
-            nxt = self.peek()
-            if nxt is not None and nxt.indent > col:
-                return self.fields(col + 2, {})
-            return {}
+            return self.nested(ln, start)
         if text[i] != " ":
             self.error(ln, i, "unexpected-token", "expected space after ':'")
         return self.scalar(ln, i + 1)
 
+    def nested(self, ln: tuple, start: int) -> dict:
+        """The object on the lines below the line ``ln`` that ends with the
+        ':' of the key at offset ``start``."""
+        col = ln[1] + start
+        if self.lines[self.idx][1] > col:
+            return self.fields(col + 2, {})
+        return {}
+
     # -- arrays -------------------------------------------------------------
 
-    def array(self, ln: _Line, start: int, i: int) -> list:
+    def array(self, ln: tuple, start: int, i: int) -> list:
         """The array whose header ``[N]:`` or ``[N]{names}:`` opens at offset
         ``i``, after a key (or a list item's dash) at ``start``."""
-        text = ln.text
+        text = ln[2]
         m = _COUNT_RE.match(text, i)
         if not m:
             self.error(ln, i + 1, "unexpected-token", "malformed array count")
@@ -347,34 +389,37 @@ class _ToonParser:
                        "expected ':' after tabular header")
         return self.body(ln, start, count, tuple(names))
 
-    def body(self, ln: _Line, start: int, count: int, names) -> list:
+    def body(self, ln: tuple, start: int, count: int, names) -> list:
         """The ``count`` lines under the array header ``ln``: list items, or
         the rows of the tabular header ``names``."""
-        col = ln.indent + start + 2
-        noun = "items" if names is None else "rows"
+        col = ln[1] + start + 2
+        lines = self.lines
         out = []
         while True:
-            nxt = self.peek()
-            if nxt is None or nxt.indent < col:
-                break
-            if nxt.indent > col:
-                self.error(nxt, 0, "bad-indent", f"expected indentation {col}, found {nxt.indent}")
-            if names is None and not _is_item(nxt):
+            nxt = lines[self.idx]
+            if nxt[1] != col:
+                if nxt[1] < col:
+                    break
+                self.error(nxt, 0, "bad-indent", f"expected indentation {col}, found {nxt[1]}")
+            if names is None and not _is_item(nxt[2]):
                 break  # the count check or the enclosing object refuses it
             if len(out) >= count:
-                self.error(nxt, 0, "count-mismatch", f"declared {count} {noun} but found more")
+                self.error(nxt, 0, "count-mismatch",
+                           f"declared {count} {'items' if names is None else 'rows'} "
+                           "but found more")
             self.idx += 1
             out.append(self.item(nxt) if names is None else self.row(nxt, names))
         if len(out) != count:
             self.error(ln, start, "count-mismatch",
-                       f"declared {count} {noun} but found {len(out)}")
+                       f"declared {count} {'items' if names is None else 'rows'} "
+                       f"but found {len(out)}")
         return out
 
-    def cells(self, ln: _Line, i: int, header: bool):
+    def cells(self, ln: tuple, i: int, header: bool):
         """The comma-separated cells from offset ``i`` and the offset where
         they stop: a tabular header's names stop at '}' or the end of the
         line, where no name may start; a row's values at the end of the line."""
-        text = ln.text
+        text = ln[2]
         bare = _NAME_RE if header else _CELL_RE
         cells = []
         while not (header and i == len(text)):
@@ -395,21 +440,33 @@ class _ToonParser:
             i += 1
         return cells, i
 
-    def row(self, ln: _Line, names: tuple) -> dict:
+    def row(self, ln: tuple, names: tuple) -> dict:
+        text = ln[2]
+        # without a '"', a space beside a ',' or an empty cell, every cell is bare
+        if not ('"' in text or ", " in text or " ," in text):
+            cells = text.split(",")
+            if len(cells) == len(names) and "" not in cells:
+                try:
+                    return dict(zip(names, map(_lex_bare_scalar, cells)))
+                except ValueError:
+                    pass  # a numeral int() or float() cannot hold: the general path refuses it
         cells, i = self.cells(ln, 0, header=False)
-        if i < len(ln.text):
+        if i < len(text):
             self.error(ln, i, "unexpected-token", "expected ',' between cells")
         if len(cells) != len(names):
             self.error(ln, 0, "arity-mismatch",
                        f"row has {len(cells)} cells, header has {len(names)}")
         return dict(zip(names, cells))
 
-    def item(self, ln: _Line) -> Value:
+    def item(self, ln: tuple) -> Value:
         """A list item: ``-`` (an empty object), a keyless array, a scalar, or
         an object whose first field follows the dash."""
-        text = ln.text
+        text = ln[2]
         if text == "-":
             return {}
+        m = _SHAPE_RE.match(text, 2)
+        if m is not None:
+            return self.fields(ln[1] + 2, {m[1]: self.shaped(ln, 2, m)}, True)
         if text.startswith("[", 2):
             return self.array(ln, 2, 2)
         found = self.key(ln, 2)
@@ -418,12 +475,12 @@ class _ToonParser:
         key, i = found
         if i == len(text):
             return key  # a quoted scalar
-        return self.fields(ln.indent + 2, {key: self.value(ln, 2, i)}, item=True)
+        return self.fields(ln[1] + 2, {key: self.value(ln, 2, i)}, True)
 
     # -- scalars ------------------------------------------------------------
 
-    def scalar(self, ln: _Line, i: int) -> Value:
-        text = ln.text
+    def scalar(self, ln: tuple, i: int) -> Value:
+        text = ln[2]
         if text.startswith('"', i):
             s, j = self.quoted(ln, i)
             if j != len(text):
@@ -433,7 +490,7 @@ class _ToonParser:
             self.error(ln, i, "unexpected-token", "unquoted value starts with a space")
         return self.lex(ln, i, text[i:])
 
-    def lex(self, ln: _Line, i: int, raw: str) -> Value:
+    def lex(self, ln: tuple, i: int, raw: str) -> Value:
         """The bare scalar ``raw`` at offset ``i``; a numeral that int() or
         float() cannot hold is refused there."""
         try:
@@ -441,9 +498,9 @@ class _ToonParser:
         except ValueError as e:
             self.error(ln, i, "unexpected-token", str(e))
 
-    def quoted(self, ln: _Line, i: int):
+    def quoted(self, ln: tuple, i: int):
         """The quoted string at offset ``i`` and the offset after its closing quote."""
-        text = ln.text
+        text = ln[2]
         out = []
         i += 1
         while True:
@@ -481,7 +538,7 @@ def parse_toon(text: str) -> ToonDocument:
         return ToonDocument(parser.fields(0, {}))
     except RecursionError:
         ln = parser.lines[max(parser.idx - 1, 0)]
-        raise ToonError(ln.num, ln.indent + 1, "unexpected-token", "nesting too deep") from None
+        raise ToonError(ln[0], ln[1] + 1, "unexpected-token", "nesting too deep") from None
 
 
 _FENCE_RE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)
