@@ -214,36 +214,54 @@ def _encode_array(head: str, items: list, level: int, lines: list):
 # columns of its indentation and the text after them, trailing whitespace
 # stripped.  Every position is an offset into the content;
 # ``_ToonParser.error`` turns it into a column of the raw line.
+#
+# The last record is the end record.  Its indentation closes every block
+# (``_END``), or it stands at the indentation of the first line that cannot
+# be read: a line with a tab in its indentation or a lone surrogate
+# character, or the line after an interior blank line.  Its content is empty,
+# which no construct accepts, so the parser refuses it when it reads it, and
+# ``error`` then raises that line's fault.  A problem on an earlier line, found
+# when the end record's indentation closes a block, comes first.
 
-_END = (0, -1, "")  # after the last line: its indentation closes every block
+_END = (0, -1, "")
 
 
-def _split_lines(text: str) -> list:
-    """The content lines of ``text``, then ``_END``; a blank line is legal only
-    after the last one.  A tab in the indentation and a lone surrogate
-    character are refused here."""
+def _split_lines(text: str):
+    """The content lines of ``text`` up to the first that cannot be read,
+    then the end record; and that line's fault, a ToonError, or None.  A blank
+    line is legal only after the last content line."""
     lines = []
     blank = 0  # the first blank line, if any
+    # text.isascii() is O(1): then no line holds a lone surrogate
+    check = "\t" in text or not text.isascii() and _SURROGATE.search(text)
     for num, raw in enumerate(text.split("\n"), 1):
         content = raw.rstrip()
-        if content:
-            body = content.lstrip(" ")
-            lines.append((num, len(content) - len(body), body))
-        elif not blank:
-            blank = num
-    # text.isascii() is O(1): then no line holds a lone surrogate
-    if "\t" in text or not text.isascii() and _SURROGATE.search(text):
-        for num, indent, body in lines:
-            if body[0] == "\t":
-                raise ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
-            bad = _SURROGATE.search(body)
-            if bad:
-                raise ToonError(num, indent + bad.start() + 1, "unexpected-token",
-                                "lone surrogate character")
-    if blank and lines and blank < lines[-1][0]:
-        raise ToonError(blank, 1, "unexpected-token", "blank line inside document")
+        if not content:
+            blank = blank or num
+            continue
+        body = content.lstrip(" ")
+        indent = len(content) - len(body)
+        if blank or check:
+            fault = _fault(num, indent, body, blank)
+            if fault:
+                lines.append((num, indent, ""))
+                return lines, fault
+        lines.append((num, indent, body))
     lines.append(_END)
-    return lines
+    return lines, None
+
+
+def _fault(num: int, indent: int, body: str, blank: int) -> Optional[ToonError]:
+    """The problem that keeps the content line ``body`` from being read, if any."""
+    if blank:
+        return ToonError(blank, 1, "unexpected-token", "blank line inside document")
+    if body[0] == "\t":
+        return ToonError(num, indent + 1, "bad-indent", "tab character in indentation")
+    bad = _SURROGATE.search(body)
+    if bad:
+        return ToonError(num, indent + bad.start() + 1, "unexpected-token",
+                         "lone surrogate character")
+    return None
 
 
 # The common line shapes, read in one match at the start of a field line or
@@ -269,10 +287,12 @@ def _is_item(text: str) -> bool:
 
 class _ToonParser:
     def __init__(self, text: str):
-        self.lines = _split_lines(text)
+        self.lines, self.fault = _split_lines(text)
         self.idx = 0
 
     def error(self, ln: tuple, i: int, kind: str, msg: str) -> NoReturn:
+        if ln is self.lines[-1]:  # the end record, read: the fault of its line
+            raise self.fault
         raise ToonError(ln[0], ln[1] + i + 1, kind, msg)
 
     # -- objects ------------------------------------------------------------
@@ -402,6 +422,8 @@ class _ToonParser:
                     break
                 self.error(nxt, 0, "bad-indent", f"expected indentation {col}, found {nxt[1]}")
             if names is None and not _is_item(nxt[2]):
+                if nxt is lines[-1]:  # the end record, read
+                    raise self.fault
                 break  # the count check or the enclosing object refuses it
             if len(out) >= count:
                 self.error(nxt, 0, "count-mismatch",

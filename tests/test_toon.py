@@ -265,7 +265,11 @@ POSITIONED = [
     ("a:\n  b: x\udc00y\n", 2, 7, "unexpected-token"),  # and low
     ('"\ud83d": 1\n', 1, 2, "unexpected-token"),  # in a key
     ("a[1]:\n  - \ud83d\ude00\n", 2, 5, "unexpected-token"),  # a pair of raw ones
-    ("a[2]:\n  - 1\nb: \udc00\n", 3, 4, "unexpected-token"),  # up front, as a tab
+    # the first problem in document order: line 1's count, before a later
+    # line that cannot be read (was line 3: these were refused up front)
+    ("a[2]:\n  - 1\nb: \udc00\n", 1, 1, "count-mismatch"),
+    ("a[2]:\n  - 1\n\tb: 1\n", 1, 1, "count-mismatch"),
+    ("a[2]:\n  - 1\n\nb: 1\n", 1, 1, "count-mismatch"),
     ('b: "x\n', 1, 5, "unexpected-token"),
     ('a:\n  b: "x\n', 2, 7, "unexpected-token"),  # was 9
     ('a[1]:\n  - "x\n', 2, 6, "unexpected-token"),  # was 8
