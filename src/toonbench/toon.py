@@ -563,18 +563,34 @@ def parse_toon(text: str) -> ToonDocument:
         raise ToonError(ln[0], ln[1] + 1, "unexpected-token", "nesting too deep") from None
 
 
-_FENCE_RE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)
-_ANY_FENCE_RE = re.compile(r"```[A-Za-z0-9_-]*[ \t]*\n(.*?)```", re.DOTALL)
+# After a fence's backticks: ```toon, or ``` and any info string, then spaces
+# or tabs and the newline where its body starts.
+_TOON_FENCE_HEAD_RE = re.compile(r"[ \t]*\n")
+_ANY_FENCE_HEAD_RE = re.compile(r"[A-Za-z0-9_-]*[ \t]*\n")
+
+
+def _fence_body(text: str, opening: str, head: re.Pattern) -> Optional[str]:
+    """The body of the first fence that opens with ``opening`` then ``head``:
+    the text up to the first ``` after it, or None.  If the first such opening
+    has no closing ```, no later one has."""
+    p = text.find(opening)
+    while p >= 0:
+        m = head.match(text, p + len(opening))
+        if m is not None:
+            end = text.find("```", m.end())
+            return None if end < 0 else text[m.end():end]
+        p = text.find(opening, p + 1)
+    return None
 
 
 def extract_toon_block(llm_output: str) -> str:
     """Contents of the first ```toon fenced block, or the whole output if it
     already parses as TOON.  Raises ToonError(missing-fence) otherwise."""
-    m = _FENCE_RE.search(llm_output)
-    if m is None:
-        m = _ANY_FENCE_RE.search(llm_output)
-    if m is not None:
-        return m.group(1)
+    body = _fence_body(llm_output, "```toon", _TOON_FENCE_HEAD_RE)
+    if body is None:
+        body = _fence_body(llm_output, "```", _ANY_FENCE_HEAD_RE)
+    if body is not None:
+        return body
     try:
         parse_toon(llm_output)
     except ToonError:

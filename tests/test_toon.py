@@ -1,6 +1,7 @@
 """TOON codec: encoding shapes, parsing, error kinds, and round trips."""
 
 import random
+import re
 import sys
 from importlib import resources
 
@@ -332,6 +333,43 @@ def test_extract_missing_fence():
     with pytest.raises(ToonError) as ei:
         extract_toon_block("no structured content here")
     assert ei.value.kind == "missing-fence"
+
+
+# The fence patterns extract_toon_block matched with before it searched with
+# str.find; the first match of the first pattern, else of the second, wins.
+_FENCE_ORACLE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)
+_ANY_FENCE_ORACLE = re.compile(r"```[A-Za-z0-9_-]*[ \t]*\n(.*?)```", re.DOTALL)
+
+
+def _extracted(text: str) -> str:
+    try:
+        return extract_toon_block(text)
+    except ToonError as e:
+        return e.kind
+
+
+def _parses(text: str) -> bool:
+    try:
+        parse_toon(text)
+    except ToonError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["`", "```", "toon", "to", "x", "a: 1", " ", "\t", "\n"]),
+                max_size=24).map("".join))
+@example("```toon\n```toon\na: 1\n```")  # the first opening's body is empty
+@example("```\na: 1\n```toon \nb: 2\n```")  # a ```toon fence wins from further on
+@example("````toon\na: 1\n```")  # four backticks: the fence opens at the second
+@example("```\na: ``x``\n```")  # two backticks do not close it
+def test_fence_search_matches_the_regular_expressions(text):
+    m = _FENCE_ORACLE.search(text) or _ANY_FENCE_ORACLE.search(text)
+    if m is not None:
+        expected = m.group(1)
+    else:  # the whole output if it parses
+        expected = text if _parses(text) else "missing-fence"
+    assert _extracted(text) == expected
 
 
 def test_toon_to_json_is_canonical():
