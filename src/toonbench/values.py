@@ -167,6 +167,43 @@ def _first_refusal(text: str, end: int):
         prev = token
 
 
+# One step of _repeats_a_key: past text in which no token of interest starts
+# (value strings, and commas before anything but a string) to '{' or ','
+# and the string after it, to another '{' or '[', or to a '}' or ']'.
+_KEY_SCAN = re.compile(r"""
+    (?: [^"{}\[\],] | "(?:[^"\\]|\\.)*" | ,(?![ \t\n\r]*") )*
+    (?: ([{,])[ \t\n\r]*("(?:[^"\\]|\\.)*") | ([{\[]) | [}\]] )""", re.VERBOSE)
+
+
+def _repeats_a_key(text: str, end: int) -> bool:
+    """Whether an object in ``text[:end]`` repeats a key, decoded.
+
+    Called where json raised a JSONDecodeError at ``end``.  Its hook has then
+    checked every object closed before ``end``, so a repeat is in an object
+    still open there.  The scan steps from bracket to bracket and key to key."""
+    stack = []  # per open container: the keys of an object, None for an array
+    pos = 0
+    while True:
+        m = _KEY_SCAN.match(text, pos, end)
+        if m is None:
+            return False
+        pos = m.end()
+        before, key, opening = m.groups()
+        if opening is not None:
+            stack.append(set() if opening == "{" else None)
+        elif key is None:
+            stack.pop()
+        else:
+            if before == "{":
+                stack.append(set())
+            keys = stack[-1]
+            if keys is not None:  # not a string in an array
+                key = json.decoder.scanstring(key, 1)[0] if "\\" in key else key[1:-1]
+                if key in keys:
+                    return True
+                keys.add(key)
+
+
 def parse_json(text: str) -> Value:
     """Parse an RFC 8259 document into a Value.
 
@@ -180,8 +217,15 @@ def parse_json(text: str) -> Value:
     try:
         value = _DECODER.decode(text)
     except json.JSONDecodeError as e:
-        error = (_first_refusal(text, e.pos)[0]
-                 or JsonParseError(e.lineno, e.colno, e.msg))
+        # Before e.pos the hooks have refused every constant, every number
+        # that overflows and every key repeated in a closed object.  What can
+        # come first is a key repeated in an object open at e.pos, or a lone
+        # surrogate, which only a \u escape or a non-ASCII character spells.
+        error = None
+        if (text.find("\\u", 0, e.pos) != -1 or not text.isascii()
+                or _repeats_a_key(text, e.pos)):
+            error = _first_refusal(text, e.pos)[0]
+        error = error or JsonParseError(e.lineno, e.colno, e.msg)
     except RecursionError:
         error, deepest_at = _first_refusal(text, len(text))
         error = error or JsonParseError(*_line_col(text, deepest_at), "nesting too deep")

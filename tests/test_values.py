@@ -150,6 +150,20 @@ def test_a_lone_surrogate_is_named_an_escape_or_a_raw_character():
     assert parse_json('{"k": "\u00e9\U0001f600"}') == {"k": "\u00e9\U0001f600"}
 
 
+@pytest.mark.parametrize("text, segments, key, line, column", [
+    ('[{"k": 1}, {"x": {"k": 1,\n "k": 2, "m": [1, 2', (1, "x"), "k", 2, 2),
+    ('{"a/b": 1, "a\\/b": 2, "c": [tr', (), "a/b", 1, 12),  # spelled with an escape
+])
+def test_a_truncated_document_reports_a_key_repeated_in_an_open_object(
+        text, segments, key, line, column):
+    """json stops at the cut before its hook sees the objects still open
+    there, so the repeat is found by a scan of the text before the cut."""
+    with pytest.raises(DuplicateKeyError) as ei:
+        parse_json(text)
+    e = ei.value
+    assert (e.segments, e.key, e.line, e.column) == (segments, key, line, column)
+
+
 def test_duplicate_key_path_inside_arrays():
     with pytest.raises(DuplicateKeyError) as ei:
         parse_json('{"a": [1, {"b": 1, "\\u0062": 2}], "a": 3}')
