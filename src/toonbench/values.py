@@ -222,7 +222,8 @@ def parse_json(text: str) -> Value:
         # come first is a key repeated in an object open at e.pos, or a lone
         # surrogate, which only a \u escape or a non-ASCII character spells.
         error = None
-        if (text.find("\\u", 0, e.pos) != -1 or not text.isascii()
+        if (text.find("\\u", 0, e.pos) != -1
+                or not text.isascii() and _SURROGATE.search(text, 0, e.pos)
                 or _repeats_a_key(text, e.pos)):
             error = _first_refusal(text, e.pos)[0]
         error = error or JsonParseError(e.lineno, e.colno, e.msg)
