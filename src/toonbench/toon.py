@@ -330,19 +330,20 @@ class _ToonParser:
             obj[key] = self.value(ln, 0, i)
 
     def shaped(self, ln: tuple, start: int, m: re.Match) -> Value:
-        """The value of the key at offset ``start``, whose line ``m`` took."""
+        """The value of the key at offset ``start`` on a line of a common
+        shape: ``m`` is _SHAPE_RE's match there."""
         _, raw, count, names = m.groups()
         if raw is not None:
             try:
                 return _lex_bare_scalar(raw)
             except ValueError:
-                return self.lex(ln, m.start(2), raw)  # which says what is wrong
+                return self.lex(ln, m.start(2), raw)  # which raises the error
         if count is None:
             return self.nested(ln, start)
         if names is not None:
             names = tuple(names.split(","))
             if len(set(names)) != len(names):
-                return self.array(ln, start, m.end(1))  # which says what is wrong
+                return self.array(ln, start, m.end(1))  # which raises the error
         return self.body(ln, start, int(count), names)
 
     def key(self, ln: tuple, i: int):
