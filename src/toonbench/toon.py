@@ -226,7 +226,7 @@ def _encode_array(head: str, items: list, level: int, lines: list):
 _END = (0, -1, "")
 
 
-def _split_lines(text: str):
+def _split_lines(text: str) -> tuple:
     """The content lines of ``text`` up to the first that cannot be read,
     then the end record; and that line's fault, a ToonError, or None.  A blank
     line is legal only after the last content line."""

@@ -335,8 +335,8 @@ def test_extract_missing_fence():
     assert ei.value.kind == "missing-fence"
 
 
-# The fence patterns extract_toon_block matched with before it searched with
-# str.find; the first match of the first pattern, else of the second, wins.
+# The oracle for extract_toon_block's fence search: the first match of the
+# first pattern, else of the second.
 _FENCE_ORACLE = re.compile(r"```toon[ \t]*\n(.*?)```", re.DOTALL)
 _ANY_FENCE_ORACLE = re.compile(r"```[A-Za-z0-9_-]*[ \t]*\n(.*?)```", re.DOTALL)
 
